@@ -27,8 +27,7 @@ and returns ``n`` raw estimates (clipping to ``[0, 1]`` is applied by the
 base class).  Every built-in synopsis implements this hook natively
 vectorised.  Third-party estimators that only override the scalar
 ``estimate(query)`` keep working: the base hook falls back to a per-query
-loop.  ``estimate_many`` survives as a deprecated alias of
-``estimate_batch``.
+loop.
 
 A simple name-based registry (:func:`register_estimator`,
 :func:`create_estimator`, :func:`estimator_from_config`) lets the experiment
@@ -85,9 +84,8 @@ through one of two paths:
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,29 +166,10 @@ class SelectivityEstimator(ABC):
     #: (requires fitting every shard against the same :meth:`shard_frame`).
     merge_exact: bool = False
 
-    #: Optional telemetry sink (:class:`repro.obs.metrics.MetricsRegistry`).
-    #: A class attribute so the uninstrumented default costs one attribute
-    #: load and an ``is not None`` branch on hot maintenance paths.  Never
-    #: part of model state: registries deep-copy to themselves (checkout
-    #: keeps recording into the same sink) and are excluded from snapshots.
-    _metrics = None
-
     def __init__(self) -> None:
         self._fitted = False
         self._columns: tuple[str, ...] = ()
         self._row_count = 0
-
-    def attach_metrics(self, registry=None) -> "SelectivityEstimator":
-        """Attach an observability registry (``None`` detaches; returns self).
-
-        Instrumented maintenance paths (the streaming bulk-ingest pipeline)
-        record rows/latency into it; estimators without instrumentation
-        simply ignore the attachment.  The registry is a process-local sink,
-        not model state — it does not appear in ``config()``/``state_dict()``
-        and survives copy-on-write checkout by reference.
-        """
-        self._metrics = registry
-        return self
 
     # -- lifecycle ---------------------------------------------------------
     @abstractmethod
@@ -280,16 +259,6 @@ class SelectivityEstimator(ABC):
     ) -> np.ndarray:
         """Vector of cardinality estimates (selectivity × row count)."""
         return self.estimate_batch(queries) * self._row_count
-
-    def estimate_many(self, queries: Iterable[RangeQuery]) -> np.ndarray:
-        """Deprecated alias of :meth:`estimate_batch`."""
-        warnings.warn(
-            "estimate_many() is deprecated; use estimate_batch()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        queries = queries if isinstance(queries, CompiledQueries) else list(queries)
-        return self.estimate_batch(queries)
 
     def _mark_fitted(self, columns: Sequence[str], row_count: int) -> None:
         self._columns = tuple(columns)

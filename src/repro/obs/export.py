@@ -9,8 +9,9 @@ format.
 
 Exporters live in a registry keyed by format name — ``"json"`` (one
 indented document) and ``"jsonl"`` (line-delimited records, one metric per
-line, streaming/append-friendly) ship now; a columnar format (Arrow/Parquet)
-can slot in later by registering a new name, without touching any caller.
+line, streaming/append-friendly) ship here, and :mod:`repro.obs.columnar`
+registers ``"csv"``; another format slots in by registering a new name,
+without touching any caller.
 Specs resolve through :func:`repro.core.resolve.resolve_component` — the
 same instance / registry-name / config-mapping convention estimators use —
 so an exporter choice round-trips through configs exactly like every other

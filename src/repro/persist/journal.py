@@ -166,10 +166,6 @@ class IngestJournal:
         payload = _ROWS_PREFIX.pack(batch.shape[0], batch.shape[1]) + batch.tobytes()
         return self._append(_KIND_ROWS, payload)
 
-    def append_checkpoint(self, version: int) -> int:
-        """Durably log that the model was published as store ``version``."""
-        return self._append(_KIND_CHECKPOINT, _CHECKPOINT_PAYLOAD.pack(int(version)))
-
     def reset(self, version: int) -> None:
         """Atomically truncate the journal to one checkpoint record.
 
@@ -272,9 +268,9 @@ class JournaledIngest:
     :meth:`checkpoint` once right after fitting so the journal has a
     baseline snapshot to replay against.
 
-    Metrics (process-default registry): ``journal.appends``,
-    ``journal.rows``, ``journal.checkpoints``, ``journal.recoveries``,
-    ``journal.replayed_rows``.
+    Metrics (process-default registry, resolved at call time):
+    ``journal.appends``, ``journal.rows``, ``journal.checkpoints``,
+    ``journal.recoveries``, ``journal.replayed_rows``.
     """
 
     def __init__(
@@ -291,7 +287,6 @@ class JournaledIngest:
         self.store = store
         self.name = name
         self.last_recovery: dict[str, object] | None = None
-        self._metrics = default_metrics()
 
     def insert(self, rows: np.ndarray) -> None:
         """Durably journal ``rows``, then fold them into the live model."""
@@ -300,9 +295,10 @@ class JournaledIngest:
             return
         self.journal.append_rows(batch)
         self.estimator.insert(batch)
-        if self._metrics.enabled:
-            self._metrics.counter("journal.appends").inc()
-            self._metrics.counter("journal.rows").inc(batch.shape[0])
+        metrics = default_metrics()
+        if metrics.enabled:
+            metrics.counter("journal.appends").inc()
+            metrics.counter("journal.rows").inc(batch.shape[0])
 
     def flush(self) -> None:
         self.estimator.flush()
@@ -312,7 +308,7 @@ class JournaledIngest:
         self.estimator.flush()
         published = self.store.publish(self.name, self.estimator, schema=dict(schema) if schema else None)
         self.journal.reset(published.version)
-        self._metrics.counter("journal.checkpoints").inc()
+        default_metrics().counter("journal.checkpoints").inc()
         return published
 
     def close(self) -> None:

@@ -140,7 +140,7 @@ class ModelStore:
 
         Foreign entries are ignored: files that do not match the version
         pattern, and — crucially — directories even when their name does
-        (a sharded-model manifest directory, a backup folder); treating a
+        (a folder of exported snapshots, a backup folder); treating a
         directory as a snapshot would corrupt ``LATEST`` resolution and make
         ``prune`` attempt to unlink it.
         """

@@ -29,7 +29,6 @@ import copy
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
@@ -57,6 +56,14 @@ __all__ = ["EstimatorServer", "ServerCacheInfo"]
 #: ``fallback`` are the degraded-path outcomes served while the circuit
 #: breaker refuses (or the model fails) fresh computation.
 _OUTCOMES = ("hit", "miss", "empty", "uncached", "stale", "fallback")
+
+
+def _lru_put(cache: OrderedDict, key, value, capacity: int) -> None:
+    """Insert ``key`` as most recent, evicting the oldest past ``capacity``."""
+    cache[key] = value
+    cache.move_to_end(key)
+    while len(cache) > capacity:
+        cache.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -107,11 +114,10 @@ class EstimatorServer:
         registry (no-op unless installed).
     admission:
         Optional :class:`~repro.serve.admission.AdmissionController`.  When
-        given, every ``estimate_batch`` / ``estimate_batch_many`` request is
-        submitted to it first and may raise
-        :class:`~repro.core.errors.AdmissionRejected`; the default ``None``
-        keeps the request path at the same one-branch cost as disabled
-        instrumentation.
+        given, every ``estimate_batch`` request is submitted to it first and
+        may raise :class:`~repro.core.errors.AdmissionRejected`; the default
+        ``None`` keeps the request path at the same one-branch cost as
+        disabled instrumentation.
     breaker:
         Optional :class:`~repro.serve.breaker.CircuitBreaker`.  When given,
         model faults during estimation are caught and counted instead of
@@ -285,12 +291,12 @@ class EstimatorServer:
 
     # -- serving ---------------------------------------------------------------
     @staticmethod
-    def _plan_key(generation: int, plan: CompiledQueries) -> tuple:
+    def _plan_digest(plan: CompiledQueries) -> bytes:
         digest = hashlib.sha256()
         digest.update(repr(plan.columns).encode())
         digest.update(plan.lows.tobytes())
         digest.update(plan.highs.tobytes())
-        return (generation, len(plan), digest.digest())
+        return digest.digest()
 
     def estimate_batch(
         self,
@@ -374,8 +380,11 @@ class EstimatorServer:
         key = None
         if self.cache_size == 0:
             outcome = "uncached"
+            # The digest is needed only to key the last-good store.
+            digest = self._plan_digest(plan) if self._last_good_size else None
         else:
-            key = self._plan_key(generation, plan)
+            digest = self._plan_digest(plan)
+            key = (generation, len(plan), digest)
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is not None:
@@ -388,7 +397,7 @@ class EstimatorServer:
             result = model.estimate_batch(plan)
         else:
             if breaker.before_call(now) == "shed":
-                return self._serve_degraded(generation, plan, key, None)
+                return self._serve_degraded(generation, plan, digest, None)
             try:
                 inject("serve.estimate")
                 result = model.estimate_batch(plan)
@@ -396,31 +405,24 @@ class EstimatorServer:
                 breaker.record_failure(now)
                 if self._instrumented:
                     self.metrics.counter("serve.model_faults").inc()
-                return self._serve_degraded(generation, plan, key, error)
+                return self._serve_degraded(generation, plan, digest, error)
             breaker.record_success(now)
         result.setflags(write=False)
         with self._lock:
             if self._last_good_size:
-                digest = key[2] if key is not None else self._plan_key(0, plan)[2]
-                self._last_good[digest] = result
-                self._last_good.move_to_end(digest)
-                while len(self._last_good) > self._last_good_size:
-                    self._last_good.popitem(last=False)
+                _lru_put(self._last_good, digest, result, self._last_good_size)
             # Only results of the *current* generation are admitted: a read
             # that raced a publish may hold a now-superseded model, and its
             # result must not outlive that version in the cache.
             if key is not None and key[0] == self._current[0]:
-                self._cache[key] = result
-                self._cache.move_to_end(key)
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
+                _lru_put(self._cache, key, result, self.cache_size)
         return generation, result, outcome
 
     def _serve_degraded(
         self,
         generation: int,
         plan: CompiledQueries,
-        key: tuple | None,
+        digest: bytes,
         error: Exception | None,
     ) -> tuple[int, np.ndarray, str]:
         """Answer while the model is unavailable (breaker open or faulting).
@@ -431,7 +433,6 @@ class EstimatorServer:
         Degraded answers never enter the plan cache: they must not outlive
         the outage as fresh results.
         """
-        digest = key[2] if key is not None else self._plan_key(0, plan)[2]
         with self._lock:
             stale = self._last_good.get(digest)
         if stale is not None:
@@ -460,30 +461,6 @@ class EstimatorServer:
     def estimate(self, query: RangeQuery) -> float:
         """Scalar sugar over a one-row batch (mirrors the estimator API)."""
         return float(self.estimate_batch((query,))[0])
-
-    def estimate_batch_many(
-        self,
-        workloads: Sequence[Sequence[RangeQuery] | CompiledQueries],
-        max_workers: int = 4,
-        *,
-        tenant: str | None = None,
-    ) -> list[np.ndarray]:
-        """Answer many workloads concurrently on a thread pool.
-
-        This is the multi-threaded batch entry point: numpy releases the GIL
-        in the kernels that dominate batch estimation, so independent
-        workloads overlap on multi-core hardware; cached workloads are
-        answered without touching the model at all.  ``tenant`` labels (and,
-        with an admission controller, gates) every workload in the batch;
-        a refusal surfaces as :class:`~repro.core.errors.AdmissionRejected`
-        from the returned future's workload, failing the whole call.
-        """
-        if max_workers < 1:
-            raise InvalidParameterError("max_workers must be positive")
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda plan: self.estimate_batch(plan, tenant=tenant), workloads)
-            )
 
     # -- copy-on-write updates -------------------------------------------------
     def checkout(self) -> SelectivityEstimator:
@@ -599,6 +576,3 @@ class EstimatorServer:
         with self._swap_lock:
             sharded = self._require_sharded()
             return self.publish(sharded.with_shard(shard_id, shard_model))
-
-    # alias: "swap" is the wire-level name used in the design discussion
-    swap = publish

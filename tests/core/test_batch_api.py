@@ -136,14 +136,6 @@ class TestFeedbackEquivalence:
         _assert_batch_matches_scalar(estimator, workload_2d)
 
 
-class TestDeprecatedAlias:
-    def test_estimate_many_warns_and_matches(self, small_table: Table, workload_1d) -> None:
-        estimator = _fitted("equidepth", small_table)
-        with pytest.warns(DeprecationWarning, match="estimate_batch"):
-            values = estimator.estimate_many(workload_1d)
-        np.testing.assert_array_equal(values, estimator.estimate_batch(workload_1d))
-
-
 class TestLoopFallback:
     """Third-party estimators that only implement the scalar contract."""
 

@@ -110,10 +110,10 @@ class TestEstimates:
         cardinality = estimator.estimate_cardinality(query)
         assert cardinality == pytest.approx(estimator.estimate(query) * small_table.row_count)
 
-    def test_estimate_many(self, small_table: Table, workload_1d) -> None:
+    def test_estimate_batch_of_query_list(self, small_table: Table) -> None:
         estimator = KDESelectivityEstimator(sample_size=200).fit(small_table)
         queries = [RangeQuery({"x0": (0.0, 0.3)}), RangeQuery({"x0": (0.3, 0.9)})]
-        values = estimator.estimate_many(queries)
+        values = estimator.estimate_batch(queries)
         assert values.shape == (2,)
 
     def test_open_ended_query(self, small_table: Table) -> None:

@@ -51,9 +51,10 @@ class TestResolution:
         clone = resolve_exporter(exporter.config())
         assert isinstance(clone, JSONExporter) and clone.indent == 4
 
-    def test_unknown_name_rejected(self) -> None:
+    @pytest.mark.parametrize("name", ["yaml", "parquet"])
+    def test_unknown_name_rejected(self, name) -> None:
         with pytest.raises(InvalidParameterError, match="unknown exporter"):
-            create_exporter("yaml")
+            create_exporter(name)
 
     def test_config_requires_name(self) -> None:
         with pytest.raises(InvalidParameterError, match="name"):
@@ -67,11 +68,14 @@ class TestResolution:
         assert isinstance(exporter_for_path(tmp_path / "m.jsonl"), JSONLExporter)
         assert isinstance(exporter_for_path(tmp_path / "m.json"), JSONExporter)
 
-    def test_exporter_for_path_unknown_suffix_lists_formats(self, tmp_path) -> None:
+    @pytest.mark.parametrize("suffix", [".txt", ".parquet"])
+    def test_exporter_for_path_unknown_suffix_lists_formats(
+        self, tmp_path, suffix
+    ) -> None:
         with pytest.raises(InvalidParameterError) as err:
-            exporter_for_path(tmp_path / "m.txt")
+            exporter_for_path(tmp_path / f"m{suffix}")
         message = str(err.value)
-        assert "'.txt'" in message
+        assert f"'{suffix}'" in message
         assert "json (.json)" in message and "csv (.csv)" in message
 
 

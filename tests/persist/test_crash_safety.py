@@ -17,6 +17,7 @@ from repro.core.kde import KDESelectivityEstimator
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
 from repro.fault.plan import FaultPlan, use_fault_plan
+from repro.obs.metrics import MetricsRegistry, use_default_metrics
 from repro.persist.journal import IngestJournal, JournaledIngest
 from repro.persist.snapshot import load_estimator, save_estimator, verify_snapshot
 from repro.persist.store import ModelStore
@@ -212,6 +213,73 @@ class TestPointerRegression:
         assert pointer.read_text().strip() == "99"  # nothing was rewritten
 
 
+class TestIngestJournal:
+    """The journal file on its own: checkpoint records come only from
+    ``reset``, rows append after them, and replay tolerates damage."""
+
+    def _rows(self, seed: int, count: int = 4) -> np.ndarray:
+        return np.random.default_rng(seed).normal(size=(count, 2))
+
+    def test_reset_leaves_one_checkpoint_record(self, tmp_path) -> None:
+        with IngestJournal(tmp_path / "wal") as journal:
+            journal.append_rows(self._rows(0))
+            journal.append_rows(self._rows(1))
+            journal.reset(3)
+        replay = IngestJournal.replay(tmp_path / "wal")
+        assert replay.checkpoint_version == 3
+        assert replay.records == 1
+        assert replay.batches == []
+        assert not replay.torn_tail
+
+    def test_rows_after_reset_replay_on_top_of_checkpoint(self, tmp_path) -> None:
+        first, second = self._rows(2), self._rows(3, count=7)
+        with IngestJournal(tmp_path / "wal") as journal:
+            journal.append_rows(self._rows(1))
+            journal.reset(2)
+            assert journal.append_rows(first) == 2
+            assert journal.append_rows(second) == 3
+        replay = IngestJournal.replay(tmp_path / "wal")
+        assert replay.checkpoint_version == 2
+        assert replay.records == 3
+        assert replay.rows == 11
+        np.testing.assert_array_equal(replay.batches[0], first)
+        np.testing.assert_array_equal(replay.batches[1], second)
+
+    def test_missing_file_replays_empty(self, tmp_path) -> None:
+        replay = IngestJournal.replay(tmp_path / "absent")
+        assert replay.checkpoint_version is None
+        assert replay.batches == [] and replay.records == 0
+        assert not replay.torn_tail
+
+    def test_foreign_file_replays_empty_with_torn_tail(self, tmp_path) -> None:
+        (tmp_path / "wal").write_bytes(b"not a journal at all")
+        replay = IngestJournal.replay(tmp_path / "wal")
+        assert replay.checkpoint_version is None
+        assert replay.batches == []
+        assert replay.torn_tail
+
+    def test_truncate_repairs_a_torn_tail(self, tmp_path) -> None:
+        first, second, third = self._rows(4), self._rows(5), self._rows(6)
+        path = tmp_path / "wal"
+        with IngestJournal(path) as journal:
+            journal.reset(1)
+            journal.append_rows(first)
+            journal.append_rows(second)
+        path.write_bytes(path.read_bytes()[:-3])  # crash mid-append
+        torn = IngestJournal.replay(path)
+        assert torn.torn_tail
+        assert len(torn.batches) == 1
+        np.testing.assert_array_equal(torn.batches[0], first)
+        with IngestJournal(path) as journal:
+            journal.truncate(torn.intact_bytes)
+            journal.append_rows(third)
+        repaired = IngestJournal.replay(path)
+        assert not repaired.torn_tail
+        assert repaired.checkpoint_version == 1
+        assert len(repaired.batches) == 2
+        np.testing.assert_array_equal(repaired.batches[1], third)
+
+
 class TestJournalCrashConsistency:
     def _batches(self, count: int = 8, rows: int = 32) -> list[np.ndarray]:
         rng = np.random.default_rng(3)
@@ -359,3 +427,28 @@ class TestJournalCrashConsistency:
         assert recovered.last_recovery["checkpoint_version"] == 1
         assert recovered.last_recovery["replayed_batches"] == 0
         recovered.close()
+
+    def test_counters_record_to_the_registry_installed_at_call_time(
+        self, tmp_path
+    ) -> None:
+        """The coordinator is built before any registry is installed; its
+        insert/checkpoint counters still reach the scoped default registry,
+        and stop once the scope ends."""
+        batches = self._batches(count=3, rows=16)
+        ingest = JournaledIngest(
+            StreamingADE(max_kernels=48).fit(TABLE),
+            IngestJournal(tmp_path / "wal"),
+            ModelStore(tmp_path / "store"),
+            "m",
+        )
+        registry = MetricsRegistry()
+        with use_default_metrics(registry):
+            for batch in batches:
+                ingest.insert(batch)
+            ingest.checkpoint()
+        ingest.insert(batches[0])
+        ingest.checkpoint()
+        ingest.close()
+        assert registry.counter("journal.appends").value == len(batches)
+        assert registry.counter("journal.rows").value == 16 * len(batches)
+        assert registry.counter("journal.checkpoints").value == 1

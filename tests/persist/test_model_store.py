@@ -247,9 +247,9 @@ class TestCatalogPersistence:
 
 
 class TestForeignEntriesTolerance:
-    """Regression: foreign files/directories in the store tree (a sharded
-    manifest directory, stray notes, backups) must not break version scans,
-    LATEST resolution or prune."""
+    """Regression: foreign files/directories in the store tree (a directory
+    of loose snapshot files, stray notes, backups) must not break version
+    scans, LATEST resolution or prune."""
 
     def test_foreign_files_in_root_and_model_dir_ignored(self, store, fitted) -> None:
         store.publish("m", fitted)
@@ -287,15 +287,13 @@ class TestForeignEntriesTolerance:
         assert squatter.is_dir()  # never deleted, never crashed the prune
         assert store.versions("m") == [2]
 
-    def test_manifest_directory_beside_models(self, store, fitted, tmp_path) -> None:
-        from repro.persist.shards import save_sharded
-        from repro.shard.sharded import ShardedEstimator
+    def test_snapshot_directory_beside_models(self, store, fitted) -> None:
+        from repro.persist.snapshot import save_estimator
 
-        table = uniform_table(rows=1500, dimensions=1, seed=9, name="u")
-        sharded = ShardedEstimator("equiwidth", shards=2).fit(table)
         store.publish("m", fitted)
-        save_sharded(sharded, store.root / "sharded-manifest")
-        save_sharded(sharded, store.root / "m" / "sharded-manifest")
+        for foreign in (store.root / "exported", store.root / "m" / "exported"):
+            for index in range(2):
+                save_estimator(fitted, foreign / f"shard-{index:04d}.npz")
         assert store.model_names() == ["m"]
         assert store.versions("m") == [1]
         assert store.load("m").is_fitted

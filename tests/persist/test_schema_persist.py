@@ -1,9 +1,8 @@
-"""Schema payloads in persistence envelopes: snapshots, the model store and
-sharded manifests must carry the dictionary bitwise and reject drifted restores."""
+"""Schema payloads in persistence envelopes: snapshots and the model store
+(monolithic and sharded synopses alike) must carry the dictionary bitwise and
+reject drifted restores."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro.core.errors import CatalogError
 from repro.data.generators import mixed_type_table
 from repro.engine.catalog import Catalog
 from repro.engine.table import Table, TableSchema
-from repro.persist.shards import MANIFEST_NAME, save_sharded
 from repro.persist.snapshot import load_estimator, read_snapshot_header, save_estimator
 from repro.persist.store import ModelStore
 from repro.shard.sharded import ShardedEstimator
@@ -35,26 +33,34 @@ def catalog(table: Table) -> Catalog:
     return catalog
 
 
-def _fitted(table: Table):
+def _fitted(table: Table, sharded: bool = False):
     estimator = create_estimator("equidepth", buckets=16)
+    if sharded:
+        estimator = ShardedEstimator(estimator, shards=2)
     estimator.fit(table)
     return estimator
 
 
 class TestSnapshotSchema:
-    def test_header_carries_schema_bitwise(self, table: Table, tmp_path) -> None:
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_header_carries_schema_bitwise(
+        self, table: Table, tmp_path, sharded: bool
+    ) -> None:
         path = tmp_path / "model.npz"
-        save_estimator(_fitted(table), path, schema=table.schema.to_json())
+        save_estimator(
+            _fitted(table, sharded), path, schema=table.schema.to_json()
+        )
         header = read_snapshot_header(path)
         assert header["schema"] == table.schema.to_json()
         restored = TableSchema.from_json(header["schema"])
         for column in table.schema.encoded_columns:
             assert restored.dictionary(column) == table.schema.dictionary(column)
 
-    def test_header_without_schema_stays_clean(self, tmp_path) -> None:
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_header_without_schema_stays_clean(self, tmp_path, sharded: bool) -> None:
         numeric = Table("n", {"x": np.arange(50, dtype=float)})
         path = tmp_path / "plain.npz"
-        save_estimator(_fitted(numeric), path)
+        save_estimator(_fitted(numeric, sharded), path)
         assert "schema" not in read_snapshot_header(path)
         load_estimator(path)  # still loads fine
 
@@ -87,12 +93,18 @@ class TestModelStoreSchema:
         store.publish("m", _fitted(table), schema=table.schema.to_json())
         assert store.describe("m")["schema"] == table.schema.to_json()
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
     def test_catalog_save_restore_roundtrip(
-        self, catalog: Catalog, table: Table, tmp_path
+        self, catalog: Catalog, table: Table, tmp_path, sharded: bool
     ) -> None:
+        if sharded:
+            catalog.attach_sharded(
+                table.name, create_estimator("equidepth", buckets=8), shards=2
+            )
         store = ModelStore(tmp_path)
         versions = catalog.save(store)
         assert versions == {table.name: 1}
+        assert store.describe(table.name)["schema"] == table.schema.to_json()
         fresh = Catalog()
         fresh.add_table(table)
         assert fresh.restore(store) == [table.name]
@@ -133,21 +145,3 @@ class TestModelStoreSchema:
         fresh.add_table(numeric)
         assert fresh.restore(store) == ["n"]
 
-
-class TestShardedManifestSchema:
-    def test_manifest_carries_schema(self, table: Table, tmp_path) -> None:
-        estimator = ShardedEstimator(
-            create_estimator("equidepth", buckets=8), shards=2
-        )
-        estimator.fit(table)
-        save_sharded(estimator, tmp_path / "sharded", schema=table.schema.to_json())
-        manifest = json.loads((tmp_path / "sharded" / MANIFEST_NAME).read_text())
-        assert manifest["schema"] == table.schema.to_json()
-
-    def test_manifest_without_schema(self, tmp_path) -> None:
-        numeric = Table("n", {"x": np.arange(64, dtype=float)})
-        estimator = ShardedEstimator(create_estimator("equidepth", buckets=8), shards=2)
-        estimator.fit(numeric)
-        save_sharded(estimator, tmp_path / "plain")
-        manifest = json.loads((tmp_path / "plain" / MANIFEST_NAME).read_text())
-        assert "schema" not in manifest

@@ -223,14 +223,6 @@ class TestServerWiring:
             server.estimate_batch(queries, tenant="t", now=0.0)
         server.estimate_batch(queries, tenant="t", now=5.0)
 
-    def test_estimate_batch_many_forwards_tenant(self, served) -> None:
-        model, queries = served
-        controller = AdmissionController([TenantQuota("t", rate=1.0, burst=1.0)])
-        server = EstimatorServer(model, admission=controller)
-        with pytest.raises(AdmissionRejected):
-            # Two workloads against a one-token bucket: the second is refused.
-            server.estimate_batch_many([queries, queries], tenant="t")
-
 
 class TestClockSkew:
     """The ``admission.clock`` fault hook: skewed time degrades refill but

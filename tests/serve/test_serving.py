@@ -123,17 +123,6 @@ class TestServing:
         with pytest.raises(NotFittedError):
             server.publish(StreamingADE(max_kernels=16))
 
-    def test_estimate_batch_many(self, server, table) -> None:
-        workloads = [
-            UniformWorkload(table, volume_fraction=0.2, seed=s).generate(10)
-            for s in range(6)
-        ]
-        results = server.estimate_batch_many(workloads, max_workers=3)
-        for workload, result in zip(workloads, results):
-            np.testing.assert_array_equal(result, server.estimate_batch(workload))
-        with pytest.raises(InvalidParameterError):
-            server.estimate_batch_many(workloads, max_workers=0)
-
     def test_publish_writes_through_to_store(self, table, tmp_path) -> None:
         store = ModelStore(tmp_path / "models")
         server = EstimatorServer(

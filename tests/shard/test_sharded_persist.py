@@ -2,23 +2,27 @@
 
 The single-file snapshot contract for ``"sharded"`` is exercised by the
 registry-wide suites in ``tests/persist``; this module pins the sharded
-specifics: the manifest layout (one npz per shard), ModelStore round-trips,
-catalog save/restore, and serving through :class:`EstimatorServer` with
-per-shard generation swaps.
+specifics: the single-archive layout (every shard and the partitioner in one
+file), ModelStore round-trips, catalog save/restore, and serving through
+:class:`EstimatorServer` with per-shard generation swaps.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.core.errors import InvalidParameterError, PersistenceError
+from repro.core.errors import InvalidParameterError, SnapshotCorruptError
 from repro.core.estimator import create_estimator
 from repro.engine.catalog import Catalog
-from repro.persist.shards import MANIFEST_NAME, load_sharded, save_sharded
-from repro.persist.snapshot import FORMAT_VERSION, load_estimator
+from repro.persist.snapshot import (
+    CHECKSUM_KEY,
+    FORMAT_VERSION,
+    load_estimator,
+    read_snapshot_header,
+    save_estimator,
+    verify_snapshot,
+)
 from repro.persist.store import ModelStore
 from repro.serve import EstimatorServer
 from repro.shard.sharded import ShardedEstimator
@@ -31,64 +35,70 @@ def sharded(mixture_table_2d) -> ShardedEstimator:
     ).fit(mixture_table_2d)
 
 
-class TestManifest:
+class TestSingleArchiveSnapshot:
     def test_roundtrip_is_bitwise(self, sharded, workload_2d, tmp_path) -> None:
         before = sharded.estimate_batch(workload_2d)
-        manifest_path = save_sharded(sharded, tmp_path / "model")
-        assert manifest_path.name == MANIFEST_NAME
-        loaded = load_sharded(tmp_path / "model")
+        save_estimator(sharded, tmp_path / "model.npz")
+        loaded = load_estimator(tmp_path / "model.npz")
+        assert isinstance(loaded, ShardedEstimator)
         np.testing.assert_array_equal(loaded.estimate_batch(workload_2d), before)
         assert loaded.config() == sharded.config()
         assert loaded.row_count == sharded.row_count
         assert loaded.shard_count == sharded.shard_count
         np.testing.assert_array_equal(
+            loaded.shard_row_counts(), sharded.shard_row_counts()
+        )
+        np.testing.assert_array_equal(
             loaded.partitioner.boundaries, sharded.partitioner.boundaries
         )
 
-    def test_layout_is_one_snapshot_per_shard(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        files = sorted(p.name for p in (tmp_path / "model").iterdir())
-        assert files == [
-            MANIFEST_NAME,
-            "shard-0000.npz",
-            "shard-0001.npz",
-            "shard-0002.npz",
-        ]
-        manifest = json.loads((tmp_path / "model" / MANIFEST_NAME).read_text())
-        assert manifest["format"] == FORMAT_VERSION
-        assert manifest["estimator"] == "sharded"
-        assert manifest["shard_files"] == files[1:]
+    def test_layout_is_one_archive(self, sharded, tmp_path) -> None:
+        save_estimator(sharded, tmp_path / "model" / "sharded.npz")
+        assert [p.name for p in (tmp_path / "model").iterdir()] == ["sharded.npz"]
+        header = read_snapshot_header(tmp_path / "model" / "sharded.npz")
+        assert header["format"] == FORMAT_VERSION
+        assert header["estimator"] == "sharded"
+        assert header["config"]["shards"] == 3
+        assert [shard["estimator"] for shard in header["meta"]["shards"]] == [
+            "equidepth"
+        ] * 3
 
-    def test_each_shard_file_loads_standalone(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        shard = load_estimator(tmp_path / "model" / "shard-0001.npz")
-        assert shard.name == "equidepth"
-        assert shard.row_count == sharded.shard_row_counts()[1]
+    def test_each_restored_shard_keeps_its_rows(self, sharded, tmp_path) -> None:
+        save_estimator(sharded, tmp_path / "model.npz")
+        loaded = load_estimator(tmp_path / "model.npz")
+        for index, shard in enumerate(loaded.shard_estimators):
+            assert shard.name == "equidepth"
+            assert shard.row_count == sharded.shard_row_counts()[index]
 
-    def test_missing_manifest_rejected(self, tmp_path) -> None:
-        with pytest.raises(PersistenceError, match="manifest"):
-            load_sharded(tmp_path)
+    def test_checked_out_shard_saves_standalone(
+        self, sharded, workload_2d, tmp_path
+    ) -> None:
+        shard = sharded.checkout_shard(1)
+        save_estimator(shard, tmp_path / "shard-0001.npz")
+        loaded = load_estimator(tmp_path / "shard-0001.npz")
+        assert loaded.name == "equidepth"
+        assert loaded.row_count == sharded.shard_row_counts()[1]
+        np.testing.assert_array_equal(
+            loaded.estimate_batch(workload_2d), shard.estimate_batch(workload_2d)
+        )
 
-    def test_missing_shard_file_rejected(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        (tmp_path / "model" / "shard-0002.npz").unlink()
-        with pytest.raises(PersistenceError, match="missing shard"):
-            load_sharded(tmp_path / "model")
-
-    def test_future_format_rejected(self, sharded, tmp_path) -> None:
-        save_sharded(sharded, tmp_path / "model")
-        manifest_path = tmp_path / "model" / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError, match="format"):
-            load_sharded(tmp_path / "model")
-
-    def test_unfitted_or_foreign_model_rejected(self, small_table, tmp_path) -> None:
-        with pytest.raises(PersistenceError, match="unfitted"):
-            save_sharded(ShardedEstimator("equiwidth", shards=2), tmp_path / "m")
-        with pytest.raises(PersistenceError, match="ShardedEstimator"):
-            save_sharded(create_estimator("equiwidth").fit(small_table), tmp_path / "m")
+    def test_damaged_shard_array_rejected(self, sharded, tmp_path) -> None:
+        path = tmp_path / "model.npz"
+        save_estimator(sharded, path)
+        with np.load(path, allow_pickle=False) as data:
+            payload = {key: data[key] for key in data.files}
+        shard_keys = sorted(key for key in payload if key.startswith("a::s2::"))
+        assert shard_keys, "shard arrays live inside the one archive"
+        damaged = payload[shard_keys[0]].copy()
+        damaged.flat[0] = damaged.flat[0] + 1
+        payload[shard_keys[0]] = damaged
+        with open(path, "wb") as handle:
+            np.savez(handle, **payload)
+        assert CHECKSUM_KEY in payload
+        with pytest.raises(SnapshotCorruptError):
+            verify_snapshot(path)
+        with pytest.raises(SnapshotCorruptError):
+            load_estimator(path)
 
 
 class TestModelStoreIntegration:
@@ -103,14 +113,17 @@ class TestModelStoreIntegration:
         assert header["estimator"] == "sharded"
         assert header["config"]["shards"] == 3
 
-    def test_manifest_directory_coexists_with_store(
+    def test_per_shard_snapshot_directory_coexists_with_store(
         self, sharded, workload_2d, tmp_path
     ) -> None:
-        """A manifest dir inside the store tree must not break version scans."""
+        """A directory of per-shard snapshot files inside the store tree must
+        not break version scans."""
         store = ModelStore(tmp_path / "store")
         store.publish("stats", sharded)
-        save_sharded(sharded, tmp_path / "store" / "stats" / "manifest")
-        save_sharded(sharded, tmp_path / "store" / "loose-manifest")
+        root = tmp_path / "store"
+        for foreign in (root / "stats" / "shards", root / "loose-shards"):
+            for index, shard in enumerate(sharded.shard_estimators):
+                save_estimator(shard, foreign / f"shard-{index:04d}.npz")
         assert store.versions("stats") == [1]
         assert store.latest_version("stats") == 1
         assert store.model_names() == ["stats"]
