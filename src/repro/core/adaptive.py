@@ -145,9 +145,9 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
     def _axis_bandwidths(self, axis: int, ids: np.ndarray | None) -> np.ndarray:
         """Per-point bandwidths ``h_d · λ_i`` along one axis.
 
-        ``ids`` selects the candidate sample points of a culled evaluation
-        (``None``: all points); pilot paths with no factors fall back to the
-        fixed bandwidth behaviour.
+        ``ids`` selects the sample points (``None``: all points, as
+        :meth:`density` and the dense path read them); pilot paths with no
+        factors fall back to the fixed bandwidth behaviour.
         """
         factors = self._local_factors
         if factors.size == 0:
@@ -163,27 +163,3 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
         if factors.size == 0:
             return base
         return np.outer(factors, base)
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the adaptive density estimate at ``points``."""
-        self._require_fitted()
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self._points.shape[1]:
-            raise InvalidParameterError(
-                f"density expects {self._points.shape[1]}-dimensional points"
-            )
-        if self._points.shape[0] == 0:
-            return np.zeros(points.shape[0])
-        factors = self._local_factors
-        total_weight = float(self._weights.sum())
-        result = np.zeros(points.shape[0])
-        block = 1024
-        for start in range(0, points.shape[0], block):
-            chunk = points[start : start + block]
-            values = np.ones((chunk.shape[0], self._points.shape[0]))
-            for d in range(self._points.shape[1]):
-                h = self._bandwidths[d] * factors
-                u = (chunk[:, d, None] - self._points[None, :, d]) / h[None, :]
-                values *= self.kernel.pdf(u) / h[None, :]
-            result[start : start + block] = values @ self._weights / total_weight
-        return result

@@ -8,24 +8,52 @@ query as a weighted sum of per-kernel product masses,
 
 The dense evaluation is O(kernels × queries × dims) normal-CDF calls even
 though a kernel more than a few bandwidths away from the query box
-contributes essentially nothing.  This module supplies the two pieces that
-make the family fast without changing its answers:
+contributes essentially nothing.  This module supplies the pieces that make
+the family fast without changing its answers:
 
 :class:`KernelSupportIndex`
     A per-dimension sorted index of kernel positions with *effective support
-    radii*.  A kernel whose ``±radius`` support cannot overlap a query box on
-    some axis is culled via two ``searchsorted`` probes per axis; surviving
-    axes are intersected with per-kernel radius checks.  Compact kernels
-    (Epanechnikov & friends) use their exact support radius, so culling is
-    lossless; the Gaussian uses the ε-derived radius below.
+    radii*.  Kernel ``i`` *overlaps* a box when, on every axis,
+    ``c_i - r_i ≤ high`` and ``c_i + r_i ≥ low``.
+    :meth:`~KernelSupportIndex.overlap_pairs` applies that exact per-kernel
+    radius test to every (box, kernel) pair, and
+    :meth:`~KernelSupportIndex.box_candidates` narrows a large plan's kernel
+    set first with two ``searchsorted`` probes per axis.  Compact
+    kernels (Epanechnikov & friends) use their exact support radius, so
+    culling is lossless; the Gaussian uses the ε-derived radius below.
 
 :func:`weighted_box_masses`
-    The single batched product-kernel CDF micro-kernel: a blocked,
-    preallocated-buffer accumulation of ``Σ_i w_i Π_d mass_d`` that both the
-    dense reference path and the culled group path run on.  It replaces the
-    near-duplicate inner loops that previously lived in ``core/kde.py`` and
-    ``core/streaming.py`` (and that ``core/adaptive.py`` /
-    ``core/feedback.py`` inherited).
+    The single batched product-kernel CDF micro-kernel, with two modes.  The
+    dense mode accumulates ``Σ_i w_i Π_d mass_d`` for every (box, kernel)
+    combination in blocked, preallocated buffers.  The pair mode evaluates
+    the product only on the overlapping ``(box, kernel)`` pairs and reduces
+    per box with ``np.bincount``.  Both run the same per-estimator
+    :data:`AxisMass` callback.
+
+Routing (:func:`estimate_boxes`)
+--------------------------------
+
+*Small plans* (``queries × kernels ≤ _BUFFER_ELEMENTS`` — every serving
+plan) build the (box × kernel) overlap mask against all kernels at once and
+run the pair mode: no candidate probes, no grouping.  *Large plans* route
+each box by its tightest per-axis candidate count: wide boxes run the dense
+mode; selective boxes are clustered into spatial groups, each group's union
+box narrows the kernels with ``box_candidates``, and the overlap mask is
+then built inside the group (blocked so it stays within
+``_BUFFER_ELEMENTS``).  Either way a selective box is summed over exactly
+the kernels whose support overlaps it, in ascending kernel order, so its
+estimate does not depend on the plan it arrives in or on how boxes are
+grouped: it is bitwise identical alone or inside any plan.
+
+The ``AxisMass`` protocol
+-------------------------
+
+``axis_mass(ids, axis, lows, highs)`` returns the per-axis kernel mass and
+is broadcast-agnostic: the dense mode passes ``ids=None`` (all kernels)
+with ``(n, 1)`` bounds and gets ``(n, kernels)`` back; the pair mode passes
+``(P,)`` kernel ids with ``(P,)`` bounds (one entry per pair) and gets
+``(P,)`` back.  An implementation only selects its per-kernel parameters by
+``ids`` and lets numpy broadcast them against the bounds.
 
 Epsilon / atol policy
 ---------------------
@@ -38,11 +66,12 @@ axis mass, and because the per-kernel weights are normalised the *total*
 deviation of a fast-path estimate from the dense path is bounded by
 ``3·ε ≤ atol/8`` (three kernel images per axis under boundary reflection —
 the reflected images of significant kernels provably fall inside the same
-candidate interval, see ``KernelSupportIndex.box_candidates``).  The safety
-factor 24 also absorbs the evaluation-order differences between grouped and
-per-query candidate sets, which is what keeps one-row batches (the scalar
-``estimate`` sugar) within 1e-12 of large batches.  Estimates are culled
-*downward* only: the fast path never reports more mass than the dense path.
+candidate interval, see ``KernelSupportIndex.box_candidates``).  The culled
+pairs are exactly those the ε-radius test rejects, so the bound holds per
+pair; the safety factor 24 also absorbs the summation-order differences
+between the pair reduction and the dense path's dot product.  Estimates are
+culled *downward* only: the fast path never reports more mass than the
+dense path.
 
 Staleness contract
 ------------------
@@ -91,28 +120,32 @@ __all__ = [
 DEFAULT_ATOL = 1e-12
 
 #: Deviation-budget safety factor: three kernel images per axis (center plus
-#: two boundary reflections) times headroom for grouping and dot-product
-#: rounding differences.
+#: two boundary reflections) times headroom for summation-order rounding
+#: differences between the pair reduction and the dense dot product.
 _EPSILON_SAFETY = 24.0
 
 #: Below this many kernels a dense pass beats any index overhead.
 _MIN_KERNELS = 32
 
-#: Queries whose tightest per-axis candidate range still keeps this fraction
-#: of all kernels are answered densely — culling would not pay for them.
+#: In large plans, queries whose tightest per-axis candidate range still
+#: keeps this fraction of all kernels are answered densely — culling would
+#: not pay for them.
 _DENSE_FRACTION = 0.75
 
 #: Aimed-for queries per evaluation group (grid-bucketed query clustering).
 _TARGET_GROUP = 64
 
-#: Work-buffer bound for the micro-kernel: (queries-per-block × kernels)
-#: stays at or below this many floats (≈ 1 MB), keeping the per-block
-#: temporaries cache resident while still amortising interpreter overhead.
+#: Work-buffer bound for the micro-kernel: dense blocks of (queries ×
+#: kernels) and overlap masks of (boxes × kernels) stay at or below this many
+#: elements (≈ 1 MB of floats), keeping the temporaries cache resident while
+#: still amortising interpreter overhead.  Plans with ``queries × kernels``
+#: at or below it take the small-plan pair route.
 _BUFFER_ELEMENTS = 1 << 17
 
-#: ``axis_mass(ids, axis, lows, highs) -> (queries, kernels)`` — per-axis
-#: kernel mass of every (query, kernel) pair; ``ids`` selects a candidate
-#: kernel subset (``None`` means all kernels).
+#: ``axis_mass(ids, axis, lows, highs)`` — per-axis kernel mass, broadcast
+#: over the kernels ``ids`` selects: ``ids=None`` (all kernels) with
+#: ``(n, 1)`` bounds gives ``(n, kernels)``; ``(P,)`` ids with ``(P,)`` bounds
+#: gives one mass per (box, kernel) pair.
 AxisMass = Callable[[np.ndarray | None, int, np.ndarray, np.ndarray], np.ndarray]
 
 _ENABLED = True
@@ -125,7 +158,8 @@ def set_route_metrics(registry) -> None:
     """Install a :class:`repro.obs.metrics.MetricsRegistry` for route counts.
 
     When set, :func:`estimate_boxes` counts how many queries it answered via
-    the culled path (``fastpath.culled_queries``) versus the dense
+    a culled route (``fastpath.culled_queries``: every query of a small
+    plan, and the selective queries of a large one) versus the dense
     micro-kernel (``fastpath.dense_queries``, including whole batches it
     declined).  ``None`` (the default) disables counting entirely — the hot
     path then pays a single module-global ``is not None`` check.  Process-
@@ -221,8 +255,8 @@ class KernelSupportIndex:
     """
 
     __slots__ = (
-        "centers",
-        "radii",
+        "lower_reach",
+        "upper_reach",
         "orders",
         "sorted_positions",
         "max_radii",
@@ -232,16 +266,16 @@ class KernelSupportIndex:
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray) -> None:
         centers = np.ascontiguousarray(np.atleast_2d(centers), dtype=float)
-        self.centers = centers
         self.kernel_count, self.dims = centers.shape
-        self.radii = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
-        )
+        radii = np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
+        #: per-axis support ends ``c - r`` / ``c + r``, axis-major (``(d, K)``)
+        self.lower_reach = np.ascontiguousarray((centers - radii).T)
+        self.upper_reach = np.ascontiguousarray((centers + radii).T)
         #: per-axis argsort of the kernel positions (``(K, d)``)
         self.orders = np.argsort(centers, axis=0, kind="stable")
         self.sorted_positions = np.take_along_axis(centers, self.orders, axis=0)
         self.max_radii = (
-            self.radii.max(axis=0)
+            radii.max(axis=0)
             if self.kernel_count
             else np.zeros(self.dims)
         )
@@ -251,7 +285,7 @@ class KernelSupportIndex:
 
         Two vectorised ``searchsorted`` probes per axis against the sorted
         positions, widened by the axis's maximum support radius.  The counts
-        drive the dense-vs-culled routing and the choice of primary axis.
+        drive the dense-vs-culled routing of large plans.
         """
         counts = np.empty(lows.shape, dtype=np.int64)
         for axis in range(self.dims):
@@ -287,11 +321,29 @@ class KernelSupportIndex:
             return ids
         keep = np.ones(ids.size, dtype=bool)
         for axis in range(self.dims):
-            centers = self.centers[ids, axis]
-            radii = self.radii[ids, axis]
-            keep &= centers + radii >= low[axis]
-            keep &= centers - radii <= high[axis]
+            keep &= self.upper_reach[axis, ids] >= low[axis]
+            keep &= self.lower_reach[axis, ids] <= high[axis]
         return np.sort(ids[keep])
+
+    def overlap_pairs(
+        self, lows: np.ndarray, highs: np.ndarray, ids: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(box_idx, kernel_ids)`` of every overlapping (box, kernel) pair.
+
+        Builds the ``(boxes, kernels)`` overlap mask with the exact
+        per-kernel radius test of :meth:`box_candidates`, against ``ids``
+        (ascending kernel ids; ``None`` means all kernels).  Pairs come out
+        box-major with ascending kernel ids, so each box's pairs are the same
+        whichever candidate superset it was tested against.
+        """
+        upper = self.upper_reach if ids is None else self.upper_reach[:, ids]
+        lower = self.lower_reach if ids is None else self.lower_reach[:, ids]
+        mask = np.ones((lows.shape[0], upper.shape[1]), dtype=bool)
+        for axis in range(self.dims):
+            mask &= upper[axis] >= lows[:, axis, None]
+            mask &= lower[axis] <= highs[:, axis, None]
+        box_idx, columns = np.nonzero(mask)
+        return box_idx, (columns if ids is None else ids[columns])
 
 
 def weighted_box_masses(
@@ -300,24 +352,36 @@ def weighted_box_masses(
     axis_mass: AxisMass,
     weights: np.ndarray,
     total_weight: float,
-    ids: np.ndarray | None = None,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The product-kernel CDF micro-kernel: ``(1/W) Σ_i w_i Π_d mass_d(i)``.
 
-    Evaluates every query box in ``(lows, highs)`` against the kernel subset
-    ``ids`` (all kernels when ``None``), blocked over queries with one
+    Without ``pairs`` (the dense mode) every query box in ``(lows, highs)``
+    is evaluated against all kernels, blocked over queries with one
     preallocated ``(block, kernels)`` accumulation buffer so arbitrarily
-    large batches stay cache resident.  This is the single inner loop of the
-    whole estimator family — the dense reference path runs it over all
-    kernels, the fast path over culled candidate sets.
+    large batches stay cache resident.  With ``pairs = (box_idx,
+    kernel_ids)`` (the pair mode) the product is evaluated only on those
+    ``(P,)`` pairs and summed per box with ``np.bincount``; boxes without a
+    pair get 0.  This is the single inner loop of the whole estimator
+    family — the dense reference path and both culled routes run on it.
     """
     n = lows.shape[0]
     dims = lows.shape[1]
     if out is None:
         out = np.empty(n)
-    kernel_weights = weights if ids is None else weights[ids]
-    count = kernel_weights.size
+    if pairs is not None:
+        box_idx, kernel_ids = pairs
+        if box_idx.size == 0:
+            out[:n] = 0.0
+            return out
+        terms = weights[kernel_ids]
+        for axis in range(dims):
+            terms *= axis_mass(kernel_ids, axis, lows[box_idx, axis], highs[box_idx, axis])
+        out[:n] = np.bincount(box_idx, weights=terms, minlength=n)
+        out[:n] /= total_weight
+        return out
+    count = weights.size
     if count == 0 or n == 0:
         out[:n] = 0.0
         return out
@@ -330,10 +394,12 @@ def weighted_box_masses(
         for axis in range(dims):
             np.multiply(
                 masses,
-                axis_mass(ids, axis, lows[start:stop, axis], highs[start:stop, axis]),
+                axis_mass(
+                    None, axis, lows[start:stop, axis, None], highs[start:stop, axis, None]
+                ),
                 out=masses,
             )
-        np.matmul(masses, kernel_weights, out=out[start:stop])
+        np.matmul(masses, weights, out=out[start:stop])
     out[:n] /= total_weight
     return out
 
@@ -343,9 +409,9 @@ def _spatial_groups(
 ) -> Iterator[np.ndarray]:
     """Cluster query boxes into spatially coherent evaluation groups.
 
-    Nearby boxes share one culled candidate set, so grouping trades a
-    slightly wider union box for full vectorisation across the group.  Box
-    centers (clipped to the kernel position range, which keeps one-sided and
+    Nearby boxes share one culled candidate set, so grouping narrows the
+    kernels each group's overlap mask is built against.  Box centers
+    (clipped to the kernel position range, which keeps one-sided and
     full-domain boxes finite) are bucketed on a coarse grid sized for about
     ``_TARGET_GROUP`` queries per cell; each occupied cell is one group.
     """
@@ -382,22 +448,32 @@ def estimate_boxes(
 ) -> np.ndarray | None:
     """Support-culled batch estimation over a kernel index.
 
-    Routes each query by its tightest per-axis candidate count: wide queries
-    (candidate fraction ≥ ``_DENSE_FRACTION``) run on the dense micro-kernel
-    directly, selective queries are clustered into spatial groups and each
-    group is evaluated against one shared culled candidate set.  Returns
-    ``None`` when culling cannot pay at all (tiny synopses, or every query is
-    wide) — the caller then takes the dense path itself.
+    Small plans (``queries × kernels ≤ _BUFFER_ELEMENTS``) evaluate the pair
+    mode over the overlap mask against all kernels.  Large plans route each
+    query by its tightest per-axis candidate count: wide queries (candidate
+    fraction ≥ ``_DENSE_FRACTION``) run on the dense micro-kernel, selective
+    queries are clustered into spatial groups whose union box narrows the
+    kernels, and the overlap mask is built inside each group.  Returns
+    ``None`` when culling cannot pay at all (tiny synopses, or a large plan
+    whose every query is wide) — the caller then takes the dense path itself.
     """
     n = lows.shape[0]
+    kernel_count = index.kernel_count
     route_metrics = _ROUTE_METRICS
-    if index.kernel_count < _MIN_KERNELS or n == 0:
+    if kernel_count < _MIN_KERNELS or n == 0:
         if route_metrics is not None and n:
             route_metrics.counter("fastpath.dense_queries").inc(n)
         return None
+    if n * kernel_count <= _BUFFER_ELEMENTS:
+        if route_metrics is not None:
+            route_metrics.counter("fastpath.culled_queries").inc(n)
+        return weighted_box_masses(
+            lows, highs, axis_mass, weights, total_weight,
+            pairs=index.overlap_pairs(lows, highs),
+        )
     counts = index.candidate_counts(lows, highs)
     tightest = counts.min(axis=1)
-    selective = tightest < index.kernel_count * _DENSE_FRACTION
+    selective = tightest < kernel_count * _DENSE_FRACTION
     if not selective.any():
         if route_metrics is not None:
             route_metrics.counter("fastpath.dense_queries").inc(n)
@@ -420,7 +496,13 @@ def estimate_boxes(
         ids = index.box_candidates(union_low, union_high)
         if ids.size == 0:
             continue  # no kernel reaches any box in the group: mass 0
-        out[queries] = weighted_box_masses(
-            lows[queries], highs[queries], axis_mass, weights, total_weight, ids=ids
-        )
+        block = max(_BUFFER_ELEMENTS // ids.size, 1)
+        for start in range(0, queries.size, block):
+            members = queries[start : start + block]
+            member_lows = lows[members]
+            member_highs = highs[members]
+            out[members] = weighted_box_masses(
+                member_lows, member_highs, axis_mass, weights, total_weight,
+                pairs=index.overlap_pairs(member_lows, member_highs, ids),
+            )
     return out

@@ -278,30 +278,34 @@ class KDESelectivityEstimator(SelectivityEstimator):
         """Bandwidth(s) along one axis; adaptive subclasses return per-point arrays."""
         return float(self._bandwidths[axis])
 
+    def _reflects(self, axis: int) -> bool:
+        """Whether kernels are mirrored at both (finite) domain bounds of ``axis``."""
+        return self.boundary_correction and bool(
+            math.isfinite(self._domain_low[axis]) and math.isfinite(self._domain_high[axis])
+        )
+
     def _axis_mass(
         self, ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
     ) -> np.ndarray:
-        """Kernel mass of every (query, point) pair on one axis, with reflection.
+        """Kernel mass on one axis, with reflection (the ``AxisMass`` protocol).
 
-        ``ids`` selects the candidate sample points (``None``: all of them),
-        ``low`` / ``high`` are the ``(k,)`` per-query bounds; the result is
-        ``(k, m)``.  Centers are pre-divided by the bandwidth so each CDF
-        argument costs a single broadcast pass — this is the hot loop of
-        batch estimation.
+        ``ids`` selects the sample points (``None``: all of them) and the
+        bounds broadcast against them: the dense path passes ``(n, 1)`` bounds
+        and gets ``(n, m)`` back, the pair route passes ``(P,)`` ids with
+        ``(P,)`` bounds and gets one mass per (box, point) pair.  Centers are
+        pre-divided by the bandwidth so each CDF argument costs a single
+        broadcast pass — this is the hot loop of batch estimation.
         """
         centers = self._points[:, axis] if ids is None else self._points[ids, axis]
-        h = self._axis_bandwidths(axis, ids)
-        inv_h = 1.0 / h
+        inv_h = 1.0 / self._axis_bandwidths(axis, ids)
         scaled_centers = centers * inv_h
-        domain_low = self._domain_low[axis]
-        domain_high = self._domain_high[axis]
-        if not self.boundary_correction or not (
-            math.isfinite(domain_low) and math.isfinite(domain_high)
-        ):
+        if not self._reflects(axis):
             return self._scaled_axis_mass(scaled_centers, inv_h, low, high)
         # Reflection: mirror each kernel at the domain boundaries and fold the
         # reflected mass that re-enters the query interval back in.  The query
         # interval is clipped to the domain first because no data exists outside.
+        domain_low = self._domain_low[axis]
+        domain_high = self._domain_high[axis]
         clipped_low = np.maximum(low, domain_low)
         clipped_high = np.minimum(high, domain_high)
         mass = self._scaled_axis_mass(scaled_centers, inv_h, clipped_low, clipped_high)
@@ -314,7 +318,7 @@ class KDESelectivityEstimator(SelectivityEstimator):
         np.clip(mass, 0.0, 1.0, out=mass)
         empty = clipped_low > clipped_high
         if np.any(empty):
-            mass[empty] = 0.0
+            np.copyto(mass, 0.0, where=empty)
         return mass
 
     def _scaled_axis_mass(
@@ -325,17 +329,18 @@ class KDESelectivityEstimator(SelectivityEstimator):
         high: np.ndarray,
     ) -> np.ndarray:
         """Kernel mass from pre-scaled centers: args are ``bound/h - center/h``."""
-        if np.ndim(inv_bandwidth) == 0:
-            lower = (low * inv_bandwidth)[:, None] - scaled_centers
-            upper = (high * inv_bandwidth)[:, None] - scaled_centers
-        else:
-            lower = low[:, None] * inv_bandwidth - scaled_centers
-            upper = high[:, None] * inv_bandwidth - scaled_centers
-        return self.kernel.interval_mass(lower, upper)
+        return self.kernel.interval_mass(
+            low * inv_bandwidth - scaled_centers, high * inv_bandwidth - scaled_centers
+        )
 
     # -- density (used by MISE metrics and the bandwidth ablation) ------------
     def density(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the estimated joint density at ``points`` (``(m, d)`` matrix)."""
+        """Evaluate the estimated joint density at ``points`` (``(m, d)`` matrix).
+
+        The density :meth:`estimate` integrates: on a reflecting axis each
+        kernel carries its two mirror images and the density is zero outside
+        the domain, so the mass of any box equals the box's estimate.
+        """
         self._require_fitted()
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self._points.shape[1]:
@@ -352,8 +357,16 @@ class KDESelectivityEstimator(SelectivityEstimator):
             chunk = points[start : start + block]
             values = np.ones((chunk.shape[0], self._points.shape[0]))
             for d in range(self._points.shape[1]):
-                h = self._bandwidths[d]
-                u = (chunk[:, d, None] - self._points[None, :, d]) / h
-                values *= self.kernel.pdf(u) / h
+                x = chunk[:, d, None]
+                centers = self._points[:, d]
+                h = self._axis_bandwidths(d, None)
+                axis_density = self.kernel.pdf((x - centers) / h)
+                if self._reflects(d):
+                    low = self._domain_low[d]
+                    high = self._domain_high[d]
+                    axis_density += self.kernel.pdf((x - (2.0 * low - centers)) / h)
+                    axis_density += self.kernel.pdf((x - (2.0 * high - centers)) / h)
+                    axis_density *= (x >= low) & (x <= high)
+                values *= axis_density / h
             result[start : start + block] = values @ self._weights / total_weight
         return result

@@ -793,11 +793,10 @@ class StreamingADE(StreamingEstimator):
         def axis_mass(
             ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
         ) -> np.ndarray:
+            # AxisMass protocol: the bounds broadcast against the selected kernels.
             means = self._means[:, axis] if ids is None else self._means[ids, axis]
             scale = stds[:, axis] if ids is None else stds[ids, axis]
-            return _normal_interval_mass(
-                low[:, None], high[:, None], means[None, :], scale[None, :]
-            )
+            return _normal_interval_mass(low, high, means, scale)
 
         if use_fastpath:
             culled = fastpath.estimate_boxes(

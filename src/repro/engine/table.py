@@ -723,14 +723,22 @@ class Table:
             out[:] = self._row_count
             return out
         values = {d: self.column(compiled.columns[d]) for d in active}
-        block = max((1 << 22) // self._row_count, 1)
+        # Two reusable (block, rows) bool buffers, compared into in place:
+        # about 2 MiB of scratch however large the plan (one row per block
+        # once the table passes 1M rows).
+        block = max((1 << 20) // self._row_count, 1)
+        mask_buffer = np.empty((min(block, n), self._row_count), dtype=bool)
+        test_buffer = np.empty_like(mask_buffer)
         for start in range(0, n, block):
             stop = min(start + block, n)
-            mask = np.ones((stop - start, self._row_count), dtype=bool)
+            mask = mask_buffer[: stop - start]
+            test = test_buffer[: stop - start]
+            mask[:] = True
             for d, column_values in values.items():
-                mask &= (column_values[None, :] >= compiled.lows[start:stop, d, None]) & (
-                    column_values[None, :] <= compiled.highs[start:stop, d, None]
-                )
+                np.greater_equal(column_values, compiled.lows[start:stop, d, None], out=test)
+                mask &= test
+                np.less_equal(column_values, compiled.highs[start:stop, d, None], out=test)
+                mask &= test
             out[start:stop] = np.count_nonzero(mask, axis=1)
         return out
 

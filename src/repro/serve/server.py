@@ -204,8 +204,12 @@ class EstimatorServer:
             self.metrics.gauge_fn("serve.cache_hits", lambda: self._hits)
             self.metrics.gauge_fn("serve.cache_misses", lambda: self._misses)
             self.metrics.gauge_fn("serve.hit_rate", lambda: hit_rate(self._hits, self._misses))
-            self.metrics.gauge_fn("serve.generation", lambda: self._current[0])
+            # Snapshots evaluate callbacks in registration order.  publish()
+            # bumps the generation before the swap counter, so reading the
+            # counter first keeps generation >= generation_swaps in every
+            # snapshot, however many publishes land between the two reads.
             self.metrics.gauge_fn("serve.generation_swaps", lambda: self._generation_swaps)
+            self.metrics.gauge_fn("serve.generation", lambda: self._current[0])
             self.metrics.gauge_fn(
                 "serve.cache_invalidations", lambda: self._cache_invalidations
             )

@@ -201,6 +201,42 @@ class TestDensity:
         gap_point = np.array([[(low + high) / 2.0]])
         assert estimator.density(dense_point)[0] > estimator.density(gap_point)[0]
 
+    @pytest.mark.parametrize("name", ["kde", "adaptive_kde"])
+    def test_density_integrates_to_estimate_at_domain_edges(
+        self, name: str, mixture_table_1d: Table
+    ) -> None:
+        """The box mass of ``density`` is the box's ``estimate``, reflection
+        included: boxes touching or crossing the domain bounds agree to 1e-9
+        (and the density is zero outside the domain)."""
+        from repro.core.estimator import create_estimator
+
+        estimator = create_estimator(name, sample_size=300).fit(mixture_table_1d)
+        low, high = mixture_table_1d.domain()["x0"]
+        width = high - low
+        boxes = [
+            (low, low + 0.1 * width),
+            (high - 0.15 * width, high),
+            (low - 2.0, low + 0.05 * width),
+            (high - 0.05 * width, high + 2.0),
+            (low, high),
+        ]
+        smallest = float(np.min(estimator._axis_bandwidths(0, None)))
+        nodes, node_weights = np.polynomial.legendre.leggauss(16)
+        for a, b in boxes:
+            # Composite Gauss-Legendre over the in-domain part of the box,
+            # panels a quarter of the narrowest bandwidth wide.
+            inner_a, inner_b = max(a, low), min(b, high)
+            panels = int(np.ceil((inner_b - inner_a) / (0.25 * smallest)))
+            edges = np.linspace(inner_a, inner_b, panels + 1)
+            half = 0.5 * np.diff(edges)[:, None]
+            points = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * nodes
+            values = estimator.density(points.reshape(-1, 1)).reshape(points.shape)
+            integral = float(np.sum(values * half * node_weights))
+            estimate = estimator.estimate(RangeQuery({"x0": (a, b)}))
+            assert integral == pytest.approx(estimate, abs=1e-9), (a, b)
+        outside = np.array([[low - 0.5], [high + 0.5]])
+        np.testing.assert_array_equal(estimator.density(outside), 0.0)
+
 
 class TestZeroRowFit:
     """Zero-row relations must fit gracefully and estimate 0.0 (no mass)."""

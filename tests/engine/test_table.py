@@ -175,6 +175,22 @@ class TestBatchGroundTruth:
         plan = compile_queries(queries, ["age"])
         np.testing.assert_array_equal(table.true_counts(plan), table.true_counts(queries))
 
+    def test_true_counts_exact_across_scratch_blocks(self) -> None:
+        """Plans larger than one scratch block (the last one partial) count
+        exactly like per-query selection masks."""
+        rng = np.random.default_rng(4)
+        rows = 400_000  # 2 queries per block: 5 queries take 3 blocks
+        big = Table("big", {"x": rng.random(rows), "y": rng.integers(0, 10, rows)})
+        queries = [
+            RangeQuery({"x": (0.1, 0.4)}),
+            RangeQuery({"x": (0.2, 0.9), "y": (3, 7)}),
+            RangeQuery({"y": (5, 5)}),
+            RangeQuery({"x": (2.0, 3.0)}),
+            RangeQuery({"x": (0.0, 1.0), "y": (0, 9)}),
+        ]
+        expected = [int(np.count_nonzero(big.selection_mask(q))) for q in queries]
+        np.testing.assert_array_equal(big.true_counts(queries), expected)
+
     def test_true_counts_unknown_plan_column_raises(self, table: Table) -> None:
         plan = compile_queries([RangeQuery({"height": (0, 1)})], ["height"])
         with pytest.raises(CatalogError):

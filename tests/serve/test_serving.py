@@ -504,3 +504,36 @@ class TestServerTelemetry:
         assert not torn, torn
         stats = server.stats()
         assert stats["generation"] == 1 + stats["generation_swaps"] == 91
+
+    def test_snapshot_reads_swap_counter_before_generation(self, table) -> None:
+        """Deterministic form of the race above: two publishes land right
+        after the snapshot read the first of the two generation gauges; the
+        generation gauge must still not fall behind the swap counter."""
+        from repro.obs.metrics import MetricsRegistry
+
+        watched = ("serve.generation", "serve.generation_swaps")
+        servers: list[EstimatorServer] = []
+        interleaved: list[str] = []
+
+        class InterleavingRegistry(MetricsRegistry):
+            def gauge_fn(self, name, fn, **labels):
+                if name in watched:
+                    def read(fn=fn, name=name):
+                        value = fn()
+                        if not interleaved:
+                            interleaved.append(name)
+                            for _ in range(2):
+                                servers[0].publish(servers[0].checkout())
+                        return value
+
+                    fn = read
+                super().gauge_fn(name, fn, **labels)
+
+        metrics = InterleavingRegistry()
+        servers.append(
+            EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8, metrics=metrics)
+        )
+        gauges = metrics.snapshot()["gauges"]
+        assert interleaved, "no generation gauge was read"
+        assert gauges["serve.generation"]["value"] >= gauges["serve.generation_swaps"]["value"]
+        assert servers[0].generation == 3
