@@ -74,11 +74,7 @@ from repro.core.estimator import (
     estimator_from_config,
     register_estimator,
 )
-from repro.core.fastpath import (
-    KernelSupportIndex,
-    fastpath_disabled,
-    fastpath_enabled,
-)
+from repro.core.fastpath import fastpath_disabled
 from repro.core.feedback import FeedbackAdaptiveEstimator
 from repro.core.kde import KDESelectivityEstimator
 from repro.core.resolve import resolve_estimator
@@ -248,8 +244,6 @@ __all__ = [
     "create_policy",
     "available_policies",
     # query fast path
-    "KernelSupportIndex",
-    "fastpath_enabled",
     "fastpath_disabled",
     # kernels & bandwidths
     "Kernel",

@@ -59,7 +59,6 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
         sensitivity: float = 0.5,
         max_factor: float = 3.0,
         seed: int | None = 0,
-        fastpath: bool = True,
     ) -> None:
         super().__init__(
             sample_size=sample_size,
@@ -68,7 +67,6 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
             bandwidths=bandwidths,
             boundary_correction=boundary_correction,
             seed=seed,
-            fastpath=fastpath,
         )
         if not 0.0 <= sensitivity <= 1.0:
             raise InvalidParameterError("sensitivity must lie in [0, 1]")
@@ -82,9 +80,9 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
     def fit(self, table: Table, columns: Sequence[str] | None = None) -> "AdaptiveKDEEstimator":
         super().fit(table, columns)
         self._fit_local_factors()
-        # The per-point factors widen the support radii, so the fast-path
-        # index built during fit (if any) is stale again.
-        self._invalidate_support_index()
+        # The per-point factors widen the support radii, so the support cache
+        # filled during fit (if any) is stale again.
+        self._invalidate_support()
         return self
 
     def _fit_local_factors(self) -> None:
@@ -129,7 +127,7 @@ class AdaptiveKDEEstimator(KDESelectivityEstimator):
     def _restore_state(self, arrays, meta) -> None:
         super()._restore_state(arrays, meta)
         self._local_factors = np.asarray(arrays["local_factors"], dtype=float)
-        self._invalidate_support_index()
+        self._invalidate_support()
 
     @property
     def local_factors(self) -> np.ndarray:

@@ -131,6 +131,10 @@ DESCRIBE_METADATA_KEYS = frozenset(
     }
 )
 
+#: Constructor parameters that no longer exist but still appear in configs
+#: and snapshot headers written before their removal; ignored on load.
+_RETIRED_CONFIG_KEYS = frozenset({"fastpath"})
+
 
 def _workload_is_empty(queries: object) -> bool:
     """Whether a workload is a sized, empty container (plan or sequence).
@@ -589,13 +593,16 @@ def estimator_from_config(config: Mapping[str, Any]) -> SelectivityEstimator:
 
     The reserved runtime-metadata keys in :data:`DESCRIBE_METADATA_KEYS` are
     ignored, so the output of :meth:`SelectivityEstimator.describe` (and the
-    ``config`` entry of a snapshot header) round-trips directly.
+    ``config`` entry of a snapshot header) round-trips directly.  So are
+    retired constructor parameters, so older configs and snapshots still load.
     """
     if "name" not in config:
         raise InvalidParameterError("estimator config requires a 'name' key")
     params = {
         k: v
         for k, v in config.items()
-        if k != "name" and k not in DESCRIBE_METADATA_KEYS
+        if k != "name"
+        and k not in DESCRIBE_METADATA_KEYS
+        and k not in _RETIRED_CONFIG_KEYS
     }
     return create_estimator(str(config["name"]), **params)

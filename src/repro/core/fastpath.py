@@ -33,17 +33,22 @@ the family fast without changing its answers:
 Routing (:func:`estimate_boxes`)
 --------------------------------
 
-*Small plans* (``queries × kernels ≤ _BUFFER_ELEMENTS`` — every serving
-plan) build the (box × kernel) overlap mask against all kernels at once and
-run the pair mode: no candidate probes, no grouping.  *Large plans* route
-each box by its tightest per-axis candidate count: wide boxes run the dense
-mode; selective boxes are clustered into spatial groups, each group's union
-box narrows the kernels with ``box_candidates``, and the overlap mask is
-then built inside the group (blocked so it stays within
-``_BUFFER_ELEMENTS``).  Either way a selective box is summed over exactly
-the kernels whose support overlaps it, in ascending kernel order, so its
-estimate does not depend on the plan it arrives in or on how boxes are
-grouped: it is bitwise identical alone or inside any plan.
+:func:`estimate_boxes` is the family's single estimate entry point: every
+``_estimate_batch`` of the kernel family builds its ``AxisMass`` callback
+and hands the plan to it.  Empty and zero-weight synopses answer 0; tiny
+synopses (fewer than ``_MIN_KERNELS`` kernels) and :func:`fastpath_disabled`
+blocks run the dense mode.  *Small plans* (``queries × kernels ≤
+_BUFFER_ELEMENTS`` — every serving plan) build the (box × kernel) overlap
+mask against all kernels at once and run the pair mode: no candidate probes,
+no grouping.  *Large plans* route each box by its tightest per-axis candidate
+count: wide boxes run the dense mode; selective boxes are clustered into
+spatial groups, each group's union box narrows the kernels with
+``box_candidates``, and the overlap mask is then built inside the group
+(blocked so it stays within ``_BUFFER_ELEMENTS``).  Either way a selective
+box is summed over exactly the kernels whose support overlaps it, in
+ascending kernel order, so its estimate does not depend on the plan it
+arrives in or on how boxes are grouped: it is bitwise identical alone or
+inside any plan.
 
 The ``AxisMass`` protocol
 -------------------------
@@ -76,21 +81,20 @@ dense path.
 Staleness contract
 ------------------
 
-Estimators cache their index together with a staleness counter (an epoch
-bumped by every synopsis mutation — fit, bulk/sequential insert, flush of a
-pending chunk, compress, prune, snapshot restore).  The index is rebuilt
-lazily on the next estimate after the epoch moved; per-tuple index updates
-are never attempted.  The cached ``(epoch, index)`` tuple is swapped as one
-attribute, so concurrent readers (the serving layer calls ``estimate_batch``
-from many threads) either see a consistent cached index or rebuild it — an
-idempotent, benign race.  Deep-copying an estimator (the serving layer's
-copy-on-write ``checkout``/``publish``) carries the cached index along.
+Estimators keep their query-side geometry in one :class:`SupportCache`
+entry, stamped with a staleness counter (an epoch bumped by every synopsis
+mutation — fit, bulk/sequential insert, flush of a pending chunk, compress,
+prune, snapshot restore; see :class:`SupportCached`).  The entry is rebuilt
+lazily on the next estimate after the epoch moved, and its index only when a
+culled route first needs it; per-tuple index updates are never attempted.
+The entry is swapped as one attribute, so concurrent readers (the serving
+layer calls ``estimate_batch`` from many threads) either see a consistent
+cached entry or rebuild it — an idempotent, benign race.  Deep-copying an
+estimator (the serving layer's copy-on-write ``checkout``/``publish``)
+carries the cached entry along.
 
-Disable the fast path per estimator with ``fastpath=False`` (constructor
-parameter of the kernel-family estimators) or process-wide with the
-:func:`fastpath_disabled` context manager; both leave the dense reference
-path as the single evaluation route, which the equivalence suite compares
-against.
+The :func:`fastpath_disabled` context manager forces the dense reference
+path process-wide; the equivalence suite compares the fast path against it.
 """
 
 from __future__ import annotations
@@ -104,10 +108,11 @@ from scipy import special
 __all__ = [
     "DEFAULT_ATOL",
     "KernelSupportIndex",
+    "SupportCache",
+    "SupportCached",
     "cull_epsilon",
     "estimate_boxes",
     "fastpath_disabled",
-    "fastpath_enabled",
     "gaussian_cull_radius",
     "gaussian_tail_radius",
     "normal_box_mass",
@@ -170,18 +175,13 @@ def set_route_metrics(registry) -> None:
     _ROUTE_METRICS = registry if registry is not None and registry.enabled else None
 
 
-def fastpath_enabled() -> bool:
-    """Whether the process-wide fast-path switch is on (default: yes)."""
-    return _ENABLED
-
-
 @contextmanager
 def fastpath_disabled():
     """Force every estimator onto the dense reference path within the block.
 
     The equivalence suite and the fast-path benchmark use this to reach the
-    dense path without rebuilding estimators; it composes with (and is
-    overridden by neither) the per-estimator ``fastpath=False`` parameter.
+    dense path without rebuilding estimators: no support index is built and
+    no route is counted inside the block.
     """
     global _ENABLED
     previous = _ENABLED
@@ -346,6 +346,66 @@ class KernelSupportIndex:
         return box_idx, (columns if ids is None else ids[columns])
 
 
+class SupportCache:
+    """One epoch's query-side geometry of a kernel synopsis.
+
+    ``centers`` and ``radii`` are what the :class:`KernelSupportIndex` is
+    built from; ``scales`` holds per-kernel parameters the estimator's
+    ``AxisMass`` callback reads (the streaming ADE's per-kernel stds), or
+    ``None``.  The index itself is built by the first :meth:`index` call, so
+    only a culled route ever pays for one.
+    """
+
+    __slots__ = ("epoch", "centers", "radii", "scales", "_index")
+
+    def __init__(
+        self, epoch: int, centers: np.ndarray, radii: np.ndarray, scales: np.ndarray | None
+    ) -> None:
+        self.epoch = epoch
+        self.centers = centers
+        self.radii = radii
+        self.scales = scales
+        self._index: KernelSupportIndex | None = None
+
+    def index(self) -> KernelSupportIndex:
+        """The support index of this epoch's geometry (built on first use)."""
+        index = self._index
+        if index is None:
+            index = self._index = KernelSupportIndex(self.centers, self.radii)
+        return index
+
+
+class SupportCached:
+    """Mixin: the epoch-guarded :class:`SupportCache` of a kernel estimator.
+
+    Every synopsis mutation calls :meth:`_invalidate_support`; estimates read
+    the current entry through :meth:`_support`, which rebuilds it from
+    :meth:`_support_geometry` once the epoch moved (see the staleness
+    contract in the module docstring).
+    """
+
+    _synopsis_epoch = 0
+    _support_cache: SupportCache | None = None
+
+    def _invalidate_support(self) -> None:
+        """Bump the staleness counter: the synopsis geometry changed."""
+        self._synopsis_epoch += 1
+        self._support_cache = None
+
+    def _support(self) -> SupportCache:
+        """The support cache entry of the current epoch (rebuilt lazily)."""
+        epoch = self._synopsis_epoch
+        entry = self._support_cache
+        if entry is None or entry.epoch != epoch:
+            entry = SupportCache(epoch, *self._support_geometry())
+            self._support_cache = entry
+        return entry
+
+    def _support_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(centers, radii, scales)`` of the current synopsis."""
+        raise NotImplementedError
+
+
 def weighted_box_masses(
     lows: np.ndarray,
     highs: np.ndarray,
@@ -441,29 +501,39 @@ def _spatial_groups(
 def estimate_boxes(
     lows: np.ndarray,
     highs: np.ndarray,
-    index: KernelSupportIndex,
+    support_index: Callable[[], KernelSupportIndex],
     weights: np.ndarray,
-    total_weight: float,
     axis_mass: AxisMass,
-) -> np.ndarray | None:
-    """Support-culled batch estimation over a kernel index.
+) -> np.ndarray:
+    """The kernel family's one estimate path: ``(1/W) Σ_i w_i Π_d mass_d``.
 
-    Small plans (``queries × kernels ≤ _BUFFER_ELEMENTS``) evaluate the pair
-    mode over the overlap mask against all kernels.  Large plans route each
-    query by its tightest per-axis candidate count: wide queries (candidate
-    fraction ≥ ``_DENSE_FRACTION``) run on the dense micro-kernel, selective
-    queries are clustered into spatial groups whose union box narrows the
-    kernels, and the overlap mask is built inside each group.  Returns
-    ``None`` when culling cannot pay at all (tiny synopses, or a large plan
-    whose every query is wide) — the caller then takes the dense path itself.
+    An empty or zero-weight synopsis answers 0 for every box.  The dense
+    micro-kernel answers the whole plan under :func:`fastpath_disabled`, for
+    synopses of fewer than ``_MIN_KERNELS`` kernels, and for large plans whose
+    every query is wide.  Otherwise small plans (``queries × kernels ≤
+    _BUFFER_ELEMENTS``) evaluate the pair mode over the overlap mask against
+    all kernels, and large plans route each query by its tightest per-axis
+    candidate count: wide queries (candidate fraction ≥ ``_DENSE_FRACTION``)
+    run on the dense micro-kernel, selective queries are clustered into
+    spatial groups whose union box narrows the kernels, and the overlap mask
+    is built inside each group.  ``support_index`` is called only once a
+    culled route is taken, so the dense route never builds an index.
     """
     n = lows.shape[0]
-    kernel_count = index.kernel_count
+    kernel_count = weights.size
+    if kernel_count == 0:
+        return np.zeros(n)
+    total_weight = float(weights.sum())
+    if total_weight <= 0:
+        return np.zeros(n)
+    if not _ENABLED:
+        return weighted_box_masses(lows, highs, axis_mass, weights, total_weight)
     route_metrics = _ROUTE_METRICS
     if kernel_count < _MIN_KERNELS or n == 0:
         if route_metrics is not None and n:
             route_metrics.counter("fastpath.dense_queries").inc(n)
-        return None
+        return weighted_box_masses(lows, highs, axis_mass, weights, total_weight)
+    index = support_index()
     if n * kernel_count <= _BUFFER_ELEMENTS:
         if route_metrics is not None:
             route_metrics.counter("fastpath.culled_queries").inc(n)
@@ -477,7 +547,7 @@ def estimate_boxes(
     if not selective.any():
         if route_metrics is not None:
             route_metrics.counter("fastpath.dense_queries").inc(n)
-        return None
+        return weighted_box_masses(lows, highs, axis_mass, weights, total_weight)
     out = np.zeros(n)
     wide = np.flatnonzero(~selective)
     if route_metrics is not None:

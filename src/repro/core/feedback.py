@@ -20,9 +20,8 @@ budget no matter how long the workload runs.
 
 Estimation cost: the base-model half of every batch flows through the wrapped
 estimator's ``estimate_batch`` and therefore through the query fast path of
-:mod:`repro.core.fastpath` whenever the base is a kernel-family synopsis
-(build the base with ``fastpath=False`` to pin the wrapper to the dense
-reference path).  The correction half keeps its own region-overlap loop —
+:mod:`repro.core.fastpath` whenever the base is a kernel-family synopsis.
+The correction half keeps its own region-overlap loop —
 box intersection, not CDF work — but the feedback-log arrays it consumes are
 cached behind a staleness counter (``feedback_count``) instead of being
 re-stacked from the record deque on every batch.

@@ -42,7 +42,7 @@ __all__ = ["KDESelectivityEstimator"]
 
 
 @register_estimator("kde")
-class KDESelectivityEstimator(SelectivityEstimator):
+class KDESelectivityEstimator(fastpath.SupportCached, SelectivityEstimator):
     """Sample-based product-kernel density estimator for range selectivities.
 
     Parameters
@@ -62,12 +62,10 @@ class KDESelectivityEstimator(SelectivityEstimator):
         boundaries so no probability mass falls outside the observed domain.
     seed:
         Seed for the sampling generator (reproducibility).
-    fastpath:
-        When true (default), batch estimation runs through the support-culling
-        query fast path (:mod:`repro.core.fastpath`), which matches the dense
-        path to :data:`~repro.core.fastpath.DEFAULT_ATOL`.  Set ``False`` to
-        pin the estimator to the dense reference path (debugging, exact
-        reproduction of pre-fast-path numbers).
+
+    Batch estimation runs through the support-culling query fast path
+    (:mod:`repro.core.fastpath`), which matches the dense path to
+    :data:`~repro.core.fastpath.DEFAULT_ATOL`.
     """
 
     name = "kde"
@@ -80,7 +78,6 @@ class KDESelectivityEstimator(SelectivityEstimator):
         bandwidths: Sequence[float] | None = None,
         boundary_correction: bool = True,
         seed: int | None = 0,
-        fastpath: bool = True,
     ) -> None:
         super().__init__()
         if sample_size is not None and sample_size < 1:
@@ -93,19 +90,12 @@ class KDESelectivityEstimator(SelectivityEstimator):
         )
         self.boundary_correction = boundary_correction
         self.seed = seed
-        self.fastpath = bool(fastpath)
 
         self._points: np.ndarray = np.empty((0, 0))
         self._weights: np.ndarray = np.empty(0)
         self._bandwidths: np.ndarray = np.empty(0)
         self._domain_low: np.ndarray = np.empty(0)
         self._domain_high: np.ndarray = np.empty(0)
-        # Staleness counter + cached (epoch, KernelSupportIndex) pair for the
-        # query fast path; every synopsis mutation bumps the epoch and the
-        # index is rebuilt lazily on the next estimate (one atomic attribute,
-        # so concurrent readers at worst rebuild — an idempotent race).
-        self._synopsis_epoch = 0
-        self._support_cache: tuple[int, fastpath.KernelSupportIndex] | None = None
 
     # -- fitting -------------------------------------------------------------
     def fit(self, table: Table, columns: Sequence[str] | None = None) -> "KDESelectivityEstimator":
@@ -121,14 +111,9 @@ class KDESelectivityEstimator(SelectivityEstimator):
         self._weights = np.ones(sample.shape[0], dtype=float)
         self._fit_domain(data)
         self._fit_bandwidths(sample, rng)
-        self._invalidate_support_index()
+        self._invalidate_support()
         self._mark_fitted(columns, table.row_count)
         return self
-
-    def _invalidate_support_index(self) -> None:
-        """Bump the staleness counter: the synopsis geometry changed."""
-        self._synopsis_epoch += 1
-        self._support_cache = None
 
     def _fit_domain(self, data: np.ndarray) -> None:
         if data.size == 0:
@@ -142,13 +127,7 @@ class KDESelectivityEstimator(SelectivityEstimator):
     def _fit_bandwidths(self, sample: np.ndarray, rng: np.random.Generator) -> None:
         dims = sample.shape[1]
         if self._explicit_bandwidths is not None:
-            if self._explicit_bandwidths.size != dims:
-                raise InvalidParameterError(
-                    f"{self._explicit_bandwidths.size} bandwidths supplied for {dims} attributes"
-                )
-            if np.any(self._explicit_bandwidths <= 0):
-                raise InvalidParameterError("bandwidths must be positive")
-            self._bandwidths = self._explicit_bandwidths.copy()
+            self._bandwidths = _validated_bandwidths(self._explicit_bandwidths, dims)
             return
         if sample.shape[0] == 0:
             # Zero-row fit: there is nothing to select a bandwidth from.  The
@@ -181,7 +160,6 @@ class KDESelectivityEstimator(SelectivityEstimator):
             ),
             "boundary_correction": self.boundary_correction,
             "seed": self.seed,
-            "fastpath": self.fastpath,
         }
 
     def _state(self) -> tuple[dict, dict]:
@@ -200,7 +178,7 @@ class KDESelectivityEstimator(SelectivityEstimator):
         self._bandwidths = np.asarray(arrays["bandwidths"], dtype=float)
         self._domain_low = np.asarray(arrays["domain_low"], dtype=float)
         self._domain_high = np.asarray(arrays["domain_high"], dtype=float)
-        self._invalidate_support_index()
+        self._invalidate_support()
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -218,15 +196,8 @@ class KDESelectivityEstimator(SelectivityEstimator):
     def set_bandwidths(self, bandwidths: Sequence[float]) -> None:
         """Override the per-attribute bandwidths of a fitted estimator."""
         self._require_fitted()
-        bandwidths = np.asarray(bandwidths, dtype=float)
-        if bandwidths.size != self._points.shape[1]:
-            raise InvalidParameterError(
-                f"{bandwidths.size} bandwidths supplied for {self._points.shape[1]} attributes"
-            )
-        if np.any(bandwidths <= 0):
-            raise InvalidParameterError("bandwidths must be positive")
-        self._bandwidths = bandwidths
-        self._invalidate_support_index()
+        self._bandwidths = _validated_bandwidths(bandwidths, self._points.shape[1])
+        self._invalidate_support()
 
     def memory_bytes(self) -> int:
         self._require_fitted()
@@ -236,38 +207,14 @@ class KDESelectivityEstimator(SelectivityEstimator):
 
     # -- estimation -------------------------------------------------------------
     def _estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Box mass of the kernel mixture for ``(n, d)`` bound matrices.
-
-        Selective batches run through the support-culling fast path
-        (:func:`repro.core.fastpath.estimate_boxes`); everything else — and
-        estimators built with ``fastpath=False`` — runs the dense reference
-        path on the same batched product-kernel CDF micro-kernel.
-        """
-        n = lows.shape[0]
-        if self._points.shape[0] == 0:
-            return np.zeros(n)
-        total_weight = float(self._weights.sum())
-        if total_weight <= 0:
-            return np.zeros(n)
-        if self.fastpath and fastpath.fastpath_enabled():
-            culled = fastpath.estimate_boxes(
-                lows, highs, self._support_index(), self._weights, total_weight,
-                self._axis_mass,
-            )
-            if culled is not None:
-                return culled
-        return fastpath.weighted_box_masses(
-            lows, highs, self._axis_mass, self._weights, total_weight
+        """Box mass of the kernel mixture for ``(n, d)`` bound matrices."""
+        return fastpath.estimate_boxes(
+            lows, highs, self._support().index, self._weights, self._axis_mass
         )
 
-    def _support_index(self) -> "fastpath.KernelSupportIndex":
-        """The cached per-dimension support-culling index (lazily rebuilt)."""
-        cached = self._support_cache
-        if cached is not None and cached[0] == self._synopsis_epoch:
-            return cached[1]
-        index = fastpath.KernelSupportIndex(self._points, self._support_radii())
-        self._support_cache = (self._synopsis_epoch, index)
-        return index
+    def _support_geometry(self) -> tuple[np.ndarray, np.ndarray, None]:
+        """Sample points and their support radii (see :class:`fastpath.SupportCached`)."""
+        return self._points, self._support_radii(), None
 
     def _support_radii(self) -> np.ndarray:
         """Per-axis effective support radii (``(d,)``; subclasses widen per point)."""
@@ -370,3 +317,15 @@ class KDESelectivityEstimator(SelectivityEstimator):
                 values *= axis_density / h
             result[start : start + block] = values @ self._weights / total_weight
         return result
+
+
+def _validated_bandwidths(bandwidths: Sequence[float], dims: int) -> np.ndarray:
+    """``bandwidths`` as a float array: one per attribute, finite and positive."""
+    bandwidths = np.array(bandwidths, dtype=float)
+    if bandwidths.size != dims:
+        raise InvalidParameterError(
+            f"{bandwidths.size} bandwidths supplied for {dims} attributes"
+        )
+    if not np.all(np.isfinite(bandwidths) & (bandwidths > 0)):
+        raise InvalidParameterError("bandwidths must be finite and positive")
+    return bandwidths

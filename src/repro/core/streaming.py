@@ -85,13 +85,8 @@ _ASSIGN_BUFFER_ELEMENTS = 1 << 21
 _SCALE_FLOOR = 1e-100
 
 
-#: The normal-CDF interval mass now lives in :mod:`repro.core.fastpath` (the
-#: shared micro-kernel); this alias keeps the module-local name working.
-_normal_interval_mass = fastpath.normal_box_mass
-
-
 @register_estimator("streaming_ade")
-class StreamingADE(StreamingEstimator):
+class StreamingADE(fastpath.SupportCached, StreamingEstimator):
     """Bounded-memory streaming adaptive density estimator.
 
     Parameters
@@ -121,11 +116,10 @@ class StreamingADE(StreamingEstimator):
     seed:
         Seed for tie-breaking randomness (unused in the default policy but
         kept for reproducible subclasses).
-    fastpath:
-        When true (default), batch estimation runs through the support-culling
-        query fast path (:mod:`repro.core.fastpath`), rebuilt lazily after
-        maintenance via a staleness counter.  Set ``False`` to pin the
-        estimator to the dense reference path.
+
+    Batch estimation runs through the support-culling query fast path
+    (:mod:`repro.core.fastpath`), whose support cache is rebuilt lazily after
+    maintenance via a staleness counter.
     """
 
     name = "streaming_ade"
@@ -139,7 +133,6 @@ class StreamingADE(StreamingEstimator):
         smoothing_factor: float = 1.0,
         chunk_size: int = 256,
         seed: int | None = 0,
-        fastpath: bool = True,
     ) -> None:
         super().__init__()
         if max_kernels < 2:
@@ -159,7 +152,6 @@ class StreamingADE(StreamingEstimator):
         self.smoothing_factor = float(smoothing_factor)
         self.chunk_size = int(chunk_size)
         self.seed = seed
-        self.fastpath = bool(fastpath)
         if self.decay < 1.0:
             # Cap the sub-chunk length so decay**chunk stays above the scale
             # floor: stored weights are expressed relative to the lazy decay
@@ -183,14 +175,6 @@ class StreamingADE(StreamingEstimator):
         self._sum_w = 0.0
         self._sum_wx = np.empty(0)
         self._sum_wx2 = np.empty(0)
-        # Staleness counter for the query fast path: every maintenance step
-        # (chunk fold, per-tuple insert, compress, prune, restore) bumps the
-        # epoch; the support index + std cache is rebuilt lazily on the next
-        # estimate rather than updated per tuple.
-        self._maintenance_epoch = 0
-        self._support_cache: (
-            tuple[int, fastpath.KernelSupportIndex, np.ndarray] | None
-        ) = None
 
     # -- lifecycle ---------------------------------------------------------
     def fit(self, table: Table, columns: Sequence[str] | None = None) -> "StreamingADE":
@@ -225,15 +209,9 @@ class StreamingADE(StreamingEstimator):
         self._sum_w = 0.0
         self._sum_wx = np.zeros(self._dims)
         self._sum_wx2 = np.zeros(self._dims)
-        self._mark_stale()
+        self._invalidate_support()
         self._mark_fitted(columns, 0)
         return self
-
-    def _mark_stale(self) -> None:
-        """Bump the maintenance epoch: the synopsis changed under the index."""
-        self._maintenance_epoch += 1
-        self._support_cache = None
-
     # -- streaming maintenance -----------------------------------------------
     def insert(self, rows: np.ndarray) -> None:
         """Fold a batch of rows into the model via the chunked bulk path.
@@ -300,7 +278,7 @@ class StreamingADE(StreamingEstimator):
 
     def _process_chunk(self, rows: np.ndarray) -> None:
         """Fold one sub-chunk into the model with a bounded number of numpy ops."""
-        self._mark_stale()
+        self._invalidate_support()
         m, d = rows.shape
         self._total_seen += float(m)
         self._domain_low = np.minimum(self._domain_low, rows.min(axis=0))
@@ -468,7 +446,7 @@ class StreamingADE(StreamingEstimator):
         return w, wx, wx2
 
     def _insert_one(self, row: np.ndarray) -> None:
-        self._mark_stale()
+        self._invalidate_support()
         if self.decay < 1.0 and self._weights.size:
             self._weights *= self.decay
             self._sum_w *= self.decay
@@ -560,7 +538,7 @@ class StreamingADE(StreamingEstimator):
         # Never prune everything: keep at least the heaviest kernel.
         if not keep.any():
             keep[int(np.argmax(self._weights))] = True
-        self._mark_stale()
+        self._invalidate_support()
         self._means = self._means[keep]
         self._variances = self._variances[keep]
         self._weights = self._weights[keep]
@@ -586,7 +564,7 @@ class StreamingADE(StreamingEstimator):
         (a kernel appearing in two close pairs) roll over to the next round.
         """
         while self._weights.size > target:
-            self._mark_stale()
+            self._invalidate_support()
             kernels = self._weights.size
             excess = kernels - target
             smoothing = self._smoothing_bandwidths()
@@ -646,7 +624,6 @@ class StreamingADE(StreamingEstimator):
             "smoothing_factor": self.smoothing_factor,
             "chunk_size": self.chunk_size,
             "seed": self.seed,
-            "fastpath": self.fastpath,
         }
 
     def _state(self) -> tuple[dict, dict]:
@@ -689,7 +666,7 @@ class StreamingADE(StreamingEstimator):
         self._sum_w = float(meta["sum_w"])
         self._pending = np.empty((self._chunk, self._dims))
         self._pending_count = 0
-        self._mark_stale()
+        self._invalidate_support()
 
     # -- model introspection -----------------------------------------------------
     @property
@@ -768,27 +745,10 @@ class StreamingADE(StreamingEstimator):
 
     # -- estimation -------------------------------------------------------------
     def _estimate_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Mixture mass inside every query box, broadcast over all kernels.
-
-        Selective batches run through the support-culling fast path
-        (:func:`repro.core.fastpath.estimate_boxes`); everything else — and
-        models built with ``fastpath=False`` — runs the dense reference path
-        on the same batched product-kernel CDF micro-kernel.
-        """
+        """Mixture mass inside every query box (:func:`fastpath.estimate_boxes`)."""
         self.flush()
-        n = lows.shape[0]
-        if self._weights.size == 0:
-            return np.zeros(n)
-        total = float(self._weights.sum())
-        if total <= 0:
-            return np.zeros(n)
-        use_fastpath = self.fastpath and fastpath.fastpath_enabled()
-        if use_fastpath:
-            index, stds = self._support_state()
-        else:
-            # Dense-pinned models never pay for an index they will not read.
-            smoothing = self._smoothing_bandwidths()
-            stds = np.sqrt(self._variances + smoothing**2)
+        support = self._support()
+        stds = support.scales
 
         def axis_mass(
             ids: np.ndarray | None, axis: int, low: np.ndarray, high: np.ndarray
@@ -796,34 +756,20 @@ class StreamingADE(StreamingEstimator):
             # AxisMass protocol: the bounds broadcast against the selected kernels.
             means = self._means[:, axis] if ids is None else self._means[ids, axis]
             scale = stds[:, axis] if ids is None else stds[ids, axis]
-            return _normal_interval_mass(low, high, means, scale)
+            return fastpath.normal_box_mass(low, high, means, scale)
 
-        if use_fastpath:
-            culled = fastpath.estimate_boxes(
-                lows, highs, index, self._weights, total, axis_mass
-            )
-            if culled is not None:
-                return culled
-        return fastpath.weighted_box_masses(lows, highs, axis_mass, self._weights, total)
+        return fastpath.estimate_boxes(lows, highs, support.index, self._weights, axis_mass)
 
-    def _support_state(self) -> tuple["fastpath.KernelSupportIndex", np.ndarray]:
-        """Cached ``(support index, per-kernel stds)`` for the current epoch.
+    def _support_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kernel means, support radii and per-kernel per-attribute stds.
 
-        The per-kernel per-attribute standard deviation combines the kernel's
-        own spread with the global smoothing bandwidth; the effective support
-        radius is the Gaussian cull radius times that std.  Rebuilt lazily
-        whenever the maintenance epoch moved (never per tuple); the cache
-        tuple is swapped atomically so concurrent readers at worst rebuild.
+        The std combines the kernel's own spread with the global smoothing
+        bandwidth; the effective support radius is the Gaussian cull radius
+        times that std.
         """
-        cached = self._support_cache
-        if cached is not None and cached[0] == self._maintenance_epoch:
-            return cached[1], cached[2]
         smoothing = self._smoothing_bandwidths()
         stds = np.sqrt(self._variances + smoothing**2)
-        radius = fastpath.gaussian_cull_radius()
-        index = fastpath.KernelSupportIndex(self._means, stds * radius)
-        self._support_cache = (self._maintenance_epoch, index, stds)
-        return index, stds
+        return self._means, stds * fastpath.gaussian_cull_radius(), stds
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the mixture density at ``points`` (``(m, d)`` matrix)."""

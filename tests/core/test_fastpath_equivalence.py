@@ -20,6 +20,9 @@ and index survival across the serving layer's copy-on-write
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from repro.core.kde import KDESelectivityEstimator
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
 from repro.engine.table import Table
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import EstimatorServer
 from repro.shard.sharded import ShardedEstimator
 from repro.workload.queries import CompiledQueries
@@ -114,11 +118,32 @@ _box = st.tuples(_interval, _interval).map(
 _boxes = st.lists(_box, min_size=1, max_size=8)
 
 
+def _random_boxes(count: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-6, 6, size=(count, 2))
+    return [(c - 0.4, c + 0.4) for c in centers]
+
+
 def _probe_boxes() -> list[tuple[np.ndarray, np.ndarray]]:
     """A fixed selective workload used by the staleness/composition tests."""
-    rng = np.random.default_rng(5)
-    centers = rng.uniform(-6, 6, size=(40, 2))
-    return [(c - 0.4, c + 0.4) for c in centers]
+    return _random_boxes(40, seed=5)
+
+
+@contextmanager
+def _route_registry() -> Iterator[MetricsRegistry]:
+    registry = MetricsRegistry()
+    fastpath.set_route_metrics(registry)
+    try:
+        yield registry
+    finally:
+        fastpath.set_route_metrics(None)
+
+
+def _route_total(registry: MetricsRegistry) -> float:
+    return (
+        registry.counter("fastpath.culled_queries").value
+        + registry.counter("fastpath.dense_queries").value
+    )
 
 
 @pytest.mark.parametrize("name", ALL_ESTIMATORS)
@@ -130,26 +155,57 @@ def test_fast_matches_dense_on_random_boxes(name: str, boxes) -> None:
 
 
 class TestDenseReferenceReachable:
-    """`fastpath=False` pins the dense path and stays contract-complete."""
+    """`fastpath_disabled()` pins the dense path: no index, no route counts."""
 
-    def test_fastpath_false_never_builds_an_index(self) -> None:
-        table = _table()
-        pinned = KDESelectivityEstimator(sample_size=400, fastpath=False).fit(table)
-        plan = _plan(pinned, [(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))])
-        pinned.estimate_batch(plan)
-        assert pinned._support_cache is None
-        assert pinned.config()["fastpath"] is False
-        # and its answers agree with the fast twin within the documented atol
-        fast = KDESelectivityEstimator(sample_size=400).fit(table)
-        assert fast.estimate_batch(plan) == pytest.approx(
-            pinned.estimate_batch(plan), abs=DEFAULT_ATOL
-        )
+    @pytest.mark.parametrize("name", ["kde", "adaptive_kde", "streaming_ade"])
+    def test_disabled_builds_no_index_and_counts_no_route(
+        self, name: str, monkeypatch
+    ) -> None:
+        builds: list[int] = []
+        build_index = fastpath.KernelSupportIndex.__init__
 
-    def test_disabled_context_restores_switch(self) -> None:
-        assert fastpath.fastpath_enabled()
-        with fastpath_disabled():
-            assert not fastpath.fastpath_enabled()
-        assert fastpath.fastpath_enabled()
+        def counting_build(index, *args, **kwargs):
+            builds.append(1)
+            build_index(index, *args, **kwargs)
+
+        monkeypatch.setattr(fastpath.KernelSupportIndex, "__init__", counting_build)
+        estimator = create_estimator(name, **_FAST_KWARGS[name]).fit(_table())
+        small = _plan(estimator, _probe_boxes())
+        large = _plan(estimator, _random_boxes(4000, seed=13))
+        with _route_registry() as routes:
+            with fastpath_disabled():
+                dense = [estimator.estimate_batch(p) for p in (small, large)]
+            assert builds == []
+            assert _route_total(routes) == 0
+            # Outside the block the same estimator builds its index and
+            # counts every query, and agrees with the dense answers.
+            fast = [estimator.estimate_batch(p) for p in (small, large)]
+            assert builds == [1]
+            assert _route_total(routes) == len(small) + len(large)
+        for f, d in zip(fast, dense):
+            np.testing.assert_allclose(f, d, rtol=0.0, atol=DEFAULT_ATOL)
+
+    def test_switch_restored_after_block(self) -> None:
+        estimator = _fitted("kde")
+        plan = _plan(estimator, _probe_boxes())
+        with _route_registry() as routes:
+            with fastpath_disabled():
+                with fastpath_disabled():
+                    pass
+                estimator.estimate_batch(plan)  # the outer block still holds
+            assert _route_total(routes) == 0
+            estimator.estimate_batch(plan)
+            assert _route_total(routes) == len(plan)
+
+    def test_switch_restored_when_block_raises(self) -> None:
+        estimator = _fitted("kde")
+        plan = _plan(estimator, _probe_boxes())
+        with pytest.raises(RuntimeError):
+            with fastpath_disabled():
+                raise RuntimeError("boom")
+        with _route_registry() as routes:
+            estimator.estimate_batch(plan)
+            assert _route_total(routes) == len(plan)
 
 
 class TestStaleness:
@@ -218,7 +274,10 @@ class TestComposition:
         _assert_fast_matches_dense(sharded, plan)
         caches = [shard._support_cache for shard in sharded.shard_estimators]
         assert all(cache is not None for cache in caches)
-        assert caches[0][1] is not caches[1][1]  # one index per shard
+        # Read the slot, not the lazy builder: each shard holds its own warm index.
+        indexes = [cache._index for cache in caches]
+        assert all(index is not None for index in indexes)
+        assert indexes[0] is not indexes[1]  # one index per shard
         # A routed insert only touches the receiving shards' synopses; the
         # estimate afterwards stays equivalent to the dense path.
         rng = np.random.default_rng(23)
@@ -232,11 +291,13 @@ class TestComposition:
         plan = _plan(model, _probe_boxes())
         served_before = server.estimate_batch(plan)
         assert server.model._support_cache is not None
+        assert server.model._support_cache._index is not None
 
         writer = server.checkout()
         # The copy-on-write checkout carries the warm index along ...
         assert writer._support_cache is not None
-        assert writer._support_cache[1] is not server.model._support_cache[1]
+        assert writer._support_cache._index is not None
+        assert writer._support_cache._index is not server.model._support_cache._index
         rng = np.random.default_rng(29)
         writer.insert(rng.normal(size=(400, 2)) + 1.5)
         writer.flush()

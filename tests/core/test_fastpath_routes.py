@@ -46,9 +46,7 @@ def fitted(table):
 
 
 def _index(estimator) -> fastpath.KernelSupportIndex:
-    if hasattr(estimator, "_support_index"):
-        return estimator._support_index()
-    return estimator._support_state()[0]
+    return estimator._support().index()
 
 
 def _kernel_count(estimator) -> int:

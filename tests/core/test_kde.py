@@ -10,6 +10,7 @@ from repro.core.errors import (
     InvalidParameterError,
     NotFittedError,
 )
+from repro.core.adaptive import AdaptiveKDEEstimator
 from repro.core.kde import KDESelectivityEstimator
 from repro.data.generators import gaussian_mixture_table, uniform_table
 from repro.engine.table import Table
@@ -144,6 +145,22 @@ class TestConfiguration:
             estimator.set_bandwidths([0.2, 0.3])
         with pytest.raises(InvalidParameterError):
             estimator.set_bandwidths([-0.1])
+
+    @pytest.mark.parametrize("estimator_class", [KDESelectivityEstimator, AdaptiveKDEEstimator])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 0.0, -0.1], ids=["nan", "inf", "-inf", "zero", "negative"]
+    )
+    def test_non_finite_or_non_positive_bandwidths_rejected(
+        self, estimator_class, bad: float
+    ) -> None:
+        table = uniform_table(rows=2000, dimensions=2, seed=1)
+        with pytest.raises(InvalidParameterError):
+            estimator_class(sample_size=200, bandwidths=[bad, 0.1]).fit(table)
+        estimator = estimator_class(sample_size=200).fit(table)
+        fitted = estimator.bandwidths
+        with pytest.raises(InvalidParameterError):
+            estimator.set_bandwidths([bad, 0.1])
+        np.testing.assert_array_equal(estimator.bandwidths, fitted)
 
     def test_seed_reproducibility(self, mixture_table_1d: Table) -> None:
         e1 = KDESelectivityEstimator(sample_size=200, seed=7).fit(mixture_table_1d)
