@@ -45,7 +45,12 @@ import os
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
 from repro.experiments.runner import TableResult
-from repro.obs import MetricsRegistry, TelemetryCollector, create_exporter
+from repro.obs import (
+    CSVExporter,
+    MetricsRegistry,
+    TelemetryCollector,
+    use_default_metrics,
+)
 from repro.obs.dashboard import write_dashboard
 from repro.serve import AdmissionController, EstimatorServer, TenantQuota
 from repro.traffic import TenantProfile, TrafficSimulator
@@ -146,24 +151,23 @@ def admission_control(
         for _ in range(reps):
             registry = MetricsRegistry()
             collector = controller = None
-            if slo_target is not None:
-                collector = TelemetryCollector(registry, interval=COLLECT_INTERVAL)
-                controller = AdmissionController(
-                    [TenantQuota("victim", slo_p99=slo_target)],
-                    window=CONTROL_WINDOW,
-                    floor=SHED_FLOOR,
-                    backoff=SHED_BACKOFF,
-                    recovery=SHED_RECOVERY,
-                    quantum=SHED_QUANTUM,
-                    initial_allowance=SHED_FLOOR,
-                    metrics=registry,
-                ).bind(collector)
-            server = EstimatorServer(
-                copy.deepcopy(base_model),
-                cache_size=CACHE_SIZE,
-                metrics=registry,
-                admission=controller,
-            )
+            with use_default_metrics(registry):
+                if slo_target is not None:
+                    collector = TelemetryCollector(registry, interval=COLLECT_INTERVAL)
+                    controller = AdmissionController(
+                        [TenantQuota("victim", slo_p99=slo_target)],
+                        window=CONTROL_WINDOW,
+                        floor=SHED_FLOOR,
+                        backoff=SHED_BACKOFF,
+                        recovery=SHED_RECOVERY,
+                        quantum=SHED_QUANTUM,
+                        initial_allowance=SHED_FLOOR,
+                    ).bind(collector)
+                server = EstimatorServer(
+                    copy.deepcopy(base_model),
+                    cache_size=CACHE_SIZE,
+                    admission=controller,
+                )
             simulator = TrafficSimulator(
                 server, table, tenants=tenants, seed=seed, collector=collector
             )
@@ -272,7 +276,7 @@ def test_admission_control(report):
         # lossless) and the rendered offline dashboard.
         collector = inputs["collector"]
         csv_path = RESULTS_DIR / "telemetry_admission_control.csv"
-        create_exporter("csv").export(
+        CSVExporter().export(
             collector.series_payload(bench="admission_control"), csv_path
         )
         write_dashboard(

@@ -43,7 +43,7 @@ from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
 from repro.experiments.runner import TableResult
 from repro.fault.plan import FaultPlan, use_fault_plan
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_default_metrics
 from repro.persist.journal import IngestJournal, JournaledIngest
 from repro.persist.store import ModelStore
 from repro.serve.breaker import CircuitBreaker
@@ -206,13 +206,13 @@ def breaker_campaign(root: Path, rows: int, requests: int) -> dict:
 
     metrics = MetricsRegistry()
     breaker = CircuitBreaker(failure_threshold=3, reset_timeout=0.5, probe_successes=2)
-    server = EstimatorServer(
-        model,
-        cache_size=0,  # every request exercises the breaker-gated miss path
-        metrics=metrics,
-        breaker=breaker,
-        fallback=fallback,
-    )
+    with use_default_metrics(metrics):
+        server = EstimatorServer(
+            model,
+            cache_size=0,  # every request exercises the breaker-gated miss path
+            breaker=breaker,
+            fallback=fallback,
+        )
 
     fault_plan = FaultPlan(seed=13)
     # Ten consecutive model faults starting at the 21st model call: three trip

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
 from repro.experiments.runner import TableResult
-from repro.obs import MetricsRegistry, TelemetryCollector
+from repro.obs import MetricsRegistry, TelemetryCollector, use_default_metrics
 from repro.serve import EstimatorServer
 from repro.workload.generators import UniformWorkload
 from repro.workload.queries import compile_queries
@@ -70,7 +70,8 @@ def telemetry_overhead(
     collected ratio)``.
     """
     plain = EstimatorServer(model, cache_size=64)
-    instrumented = EstimatorServer(model, cache_size=64, metrics=MetricsRegistry())
+    with use_default_metrics(MetricsRegistry()):
+        instrumented = EstimatorServer(model, cache_size=64)
     plain.estimate_batch(plan)  # warm the cache on all variants
     instrumented.estimate_batch(plan)
     instrumented.estimate_batch(plan, tenant="bench")

@@ -33,7 +33,7 @@ import os
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table
 from repro.experiments.runner import TableResult
-from repro.obs import JSONLExporter, MetricsRegistry
+from repro.obs import MetricsRegistry, use_default_metrics
 from repro.serve import EstimatorServer
 from repro.traffic import TenantProfile, TrafficSimulator
 
@@ -94,9 +94,8 @@ def traffic_tails(
     victim, aggressor = _tenants(smoke)
 
     def run_phase(tenants, registry):
-        server = EstimatorServer(
-            copy.deepcopy(base_model), cache_size=CACHE_SIZE, metrics=registry
-        )
+        with use_default_metrics(registry):
+            server = EstimatorServer(copy.deepcopy(base_model), cache_size=CACHE_SIZE)
         return TrafficSimulator(server, table, tenants=tenants, seed=seed).run(duration)
 
     baseline_registry = MetricsRegistry()
@@ -178,7 +177,7 @@ def test_traffic_tails(report):
 
         # Archive the storm phase's raw telemetry as JSONL for CI to collect.
         jsonl_path = RESULTS_DIR / "telemetry_traffic_tails.jsonl"
-        storm.export(jsonl_path, JSONLExporter(), metrics=inputs["storm_registry"])
+        storm.export(jsonl_path, metrics=inputs["storm_registry"])
 
         worst = inputs["worst_p99_storm"]
         assert rep.gate(

@@ -28,12 +28,12 @@ The next section moves beyond pure numeric data: a schema-declared table
 with dictionary-encoded categorical and string columns answers typed
 predicates (IN sets, string prefixes) through the very same numeric
 synopses, by lowering each typed query onto disjoint code-range boxes.
-The closing section turns telemetry on: an instrumented
-:class:`~repro.serve.EstimatorServer` records per-request latency
-histograms and cache counters into a
+The closing section turns telemetry on: inside
+``use_default_metrics(registry)`` an :class:`~repro.serve.EstimatorServer`
+records per-request latency histograms and cache counters into a
 :class:`~repro.obs.metrics.MetricsRegistry` (off by default — the
 uninstrumented hot path pays a single branch), and the snapshot is exported
-to JSON through the pluggable exporter registry
+to JSON, the format its ``.json`` file suffix names
 (``examples/telemetry_traffic.py`` is the full multi-tenant traffic
 walkthrough).
 """
@@ -68,6 +68,7 @@ from repro import (
     mixed_type_table,
     render_table,
     sudden_drift_stream,
+    use_default_metrics,
 )
 
 
@@ -256,16 +257,15 @@ def main() -> None:
         f"mean abs error {mean_abs:.4f}"
     )
 
-    # 10. Telemetry: pass a MetricsRegistry to make the server record every
-    #     request into a streaming log-bucketed latency histogram (p50/p99
-    #     without storing samples) next to its cache and generation counters.
-    #     Off by default — an unmetered server pays one branch per request.
-    #     The snapshot exports through the exporter registry; the suffix
-    #     picks the format (.json / .jsonl).
+    # 10. Telemetry: a server built inside use_default_metrics(registry)
+    #     records every request into a streaming log-bucketed latency
+    #     histogram (p50/p99 without storing samples) next to its cache and
+    #     generation counters.  Off by default — an unmetered server pays one
+    #     branch per request.  The file suffix picks the export format
+    #     (.json / .jsonl / .csv).
     registry = MetricsRegistry()
-    server = EstimatorServer(
-        EquiDepthHistogram(buckets=64).fit(table), cache_size=64, metrics=registry
-    )
+    with use_default_metrics(registry):
+        server = EstimatorServer(EquiDepthHistogram(buckets=64).fit(table), cache_size=64)
     for _ in range(5):
         server.estimate_batch(plan, tenant="quickstart")
     requests = registry.histogram("serve.request_seconds")

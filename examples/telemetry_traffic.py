@@ -8,7 +8,8 @@ The walkthrough wires the observability layer through the whole serving
 stack and then drives it with the deterministic multi-tenant traffic
 simulator:
 
-1. An instrumented :class:`~repro.serve.EstimatorServer` records every
+1. ``use_default_metrics(registry)`` is the one telemetry switch.  A
+   :class:`~repro.serve.EstimatorServer` built inside it records every
    request into a streaming log-bucketed latency histogram (constant
    memory, p50/p95/p99 readouts within one geometric bucket of the exact
    sample quantile) plus cache hit/miss counters and generation gauges —
@@ -24,10 +25,10 @@ simulator:
    boundaries during the run, diffing registry snapshots into per-metric
    delta/rate time series with windowed rollups.
 4. The run's report (per-tenant p50/p99 per op) and the full registry
-   snapshot are exported through the pluggable exporter registry — JSON
-   for humans, JSONL (one record per metric) for line-oriented collectors,
-   CSV (one row per series point) for columnar tooling — and read back
-   losslessly.  The collected series also renders as a self-contained
+   snapshot are exported in the format the file suffix names — ``.json``
+   for humans, ``.jsonl`` (one record per metric) for line-oriented
+   collectors, ``.csv`` (one row per series point) for columnar tooling —
+   and read back losslessly.  The collected series also renders as a self-contained
    static HTML dashboard (inline SVG sparklines, zero third-party deps).
 
 Two runs with the same seed execute the identical op sequence (the report
@@ -50,6 +51,7 @@ from repro import (
     TrafficSimulator,
     exporter_for_path,
     gaussian_mixture_table,
+    use_default_metrics,
     write_dashboard,
 )
 
@@ -61,9 +63,11 @@ def main() -> None:
     )
     model = StreamingADE(max_kernels=128).fit(table)
 
-    # 2. An instrumented server: every request lands in the registry.
+    # 2. Switch telemetry on for the scope: the server binds the process
+    #    default registry when it is built, so every request lands in it.
     registry = MetricsRegistry()
-    server = EstimatorServer(model, cache_size=32, metrics=registry)
+    with use_default_metrics(registry):
+        server = EstimatorServer(model, cache_size=32)
 
     # 3. Three tenants with distinct mixes.  Each tenant draws from its own
     #    SeedSequence([seed, index]) stream, so adding or removing one tenant
@@ -134,9 +138,10 @@ def main() -> None:
         f"{len(collector.store)} points; dashboard query rate {qps:.0f}/s"
     )
 
-    # 8. Export the report + registry snapshot through the exporters and
-    #    read them back losslessly; the collected series goes to columnar
-    #    CSV and renders as a self-contained offline dashboard.
+    # 8. Export the report + registry snapshot in the format each file
+    #    suffix names and read them back losslessly; the collected series
+    #    goes to columnar CSV and renders as a self-contained offline
+    #    dashboard.
     with tempfile.TemporaryDirectory() as root:
         for suffix in (".json", ".jsonl"):
             path = report.export(Path(root) / f"traffic{suffix}", metrics=registry)

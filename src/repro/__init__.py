@@ -168,8 +168,6 @@ from repro.obs import (
     TimeSeriesStore,
     exporter_for_path,
     render_dashboard,
-    resolve_exporter,
-    set_default_metrics,
     use_default_metrics,
     write_dashboard,
 )
@@ -315,7 +313,6 @@ __all__ = [
     # observability & traffic
     "MetricsRegistry",
     "LatencyHistogram",
-    "set_default_metrics",
     "use_default_metrics",
     "MetricsExporter",
     "JSONExporter",
@@ -324,7 +321,6 @@ __all__ = [
     "TelemetryCollector",
     "TimeSeriesStore",
     "exporter_for_path",
-    "resolve_exporter",
     "render_dashboard",
     "write_dashboard",
     "TrafficSimulator",

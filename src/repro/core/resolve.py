@@ -1,24 +1,21 @@
-"""Uniform resolution of pluggable-component specifications.
+"""Resolution of estimator specifications.
 
-Registry-backed components across the repo — estimators, metrics exporters,
-weighting policies — all accept a spec given as any of
+The wrapper estimators — the feedback wrapper, the sharded front end and
+the expert ensemble — accept the estimator they wrap as any of
 
-* a component **instance**,
-* a registry **name** string (``"kde"``, ``"jsonl"``),
+* an estimator **instance**,
+* a registry **name** string (``"kde"``),
 * a ``{"name": ..., **params}`` **config mapping** — which is how snapshot
   and describe round-trips reconstruct nested wrappers through
-  ``*_from_config`` factories.
+  :func:`~repro.core.estimator.estimator_from_config`.
 
-:func:`resolve_component` is the one shared implementation of that
-convention; :func:`resolve_estimator` binds it to the estimator registry
-(used by the feedback wrapper, the sharded front end, and the expert
-ensemble, so arbitrarily nested wrapper configs round-trip uniformly), and
-:func:`repro.obs.export.resolve_exporter` binds it to the exporter registry.
+:func:`resolve_estimator` is the one implementation of that convention, so
+arbitrarily nested wrapper configs round-trip uniformly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping
 
 from repro.core.errors import InvalidParameterError
 from repro.core.estimator import (
@@ -27,43 +24,7 @@ from repro.core.estimator import (
     estimator_from_config,
 )
 
-__all__ = ["resolve_component", "resolve_estimator"]
-
-T = TypeVar("T")
-
-
-def resolve_component(
-    spec: "T | Mapping[str, Any] | str | None",
-    *,
-    base_type: type,
-    create: Callable[[str], T],
-    from_config: Callable[[Mapping[str, Any]], T],
-    default: Callable[[], T] | None = None,
-    what: str = "component",
-    kind: str = "component",
-) -> T:
-    """Resolve a component spec (instance / registry name / config mapping).
-
-    ``base_type`` is the instance type accepted as-is, ``create`` builds from
-    a registry name, ``from_config`` from a ``{"name": ..., **params}``
-    mapping.  ``default`` is a zero-argument factory used when ``spec`` is
-    ``None``; without one, ``None`` is rejected.  ``what`` names the
-    parameter and ``kind`` the component family in error messages.
-    """
-    if spec is None:
-        if default is None:
-            raise InvalidParameterError(f"{what} specification is required")
-        return default()
-    if isinstance(spec, base_type):
-        return spec
-    if isinstance(spec, str):
-        return create(spec)
-    if isinstance(spec, Mapping):
-        return from_config(spec)
-    raise InvalidParameterError(
-        f"{what} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind} instance, "
-        f"registry name or config mapping, got {type(spec).__name__}"
-    )
+__all__ = ["resolve_estimator"]
 
 
 def resolve_estimator(
@@ -78,12 +39,17 @@ def resolve_estimator(
     without one, ``None`` is rejected.  ``what`` names the parameter in error
     messages (``"base"``, ``"expert"``, ...).
     """
-    return resolve_component(
-        spec,
-        base_type=SelectivityEstimator,
-        create=create_estimator,
-        from_config=estimator_from_config,
-        default=default,
-        what=what,
-        kind="estimator",
+    if spec is None:
+        if default is None:
+            raise InvalidParameterError(f"{what} specification is required")
+        return default()
+    if isinstance(spec, SelectivityEstimator):
+        return spec
+    if isinstance(spec, str):
+        return create_estimator(spec)
+    if isinstance(spec, Mapping):
+        return estimator_from_config(spec)
+    raise InvalidParameterError(
+        f"{what} must be an estimator instance, registry name or config "
+        f"mapping, got {type(spec).__name__}"
     )

@@ -31,8 +31,9 @@ for the run (every model store, shard executor and estimator server built by
 the experiments records into it, and the query fast path counts its
 culled-vs-dense routing), times each experiment into
 ``experiments.run_seconds{experiment=...}``, and exports the final snapshot
-to ``PATH`` through the exporter matching its suffix (``.json`` /
-``.jsonl``)::
+to ``PATH`` through the exporter matching its suffix (``.json``,
+``.jsonl`` or ``.csv``; any other suffix is rejected before the run
+starts)::
 
     python -m repro.experiments --telemetry runs/table1.jsonl table1
 
@@ -50,6 +51,7 @@ collector, a single end-of-run sample) as a self-contained HTML dashboard::
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -161,6 +163,37 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     overrides = _parse_overrides(args.overrides)
 
+    if (args.collect_interval or args.dashboard) and not args.telemetry:
+        raise SystemExit("--collect-interval and --dashboard require --telemetry")
+    if args.collect_interval is not None and args.collect_interval <= 0:
+        raise SystemExit("--collect-interval must be positive")
+
+    if args.telemetry:
+        from repro.core.errors import InvalidParameterError
+        from repro.core.fastpath import set_route_metrics
+        from repro.obs.collector import TelemetryCollector
+        from repro.obs.export import exporter_for_path
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
+
+        # Resolved before anything is created or run, so a bad suffix costs
+        # no run.  The series file shares the snapshot's suffix, so one
+        # exporter writes both.
+        try:
+            exporter = exporter_for_path(args.telemetry)
+        except InvalidParameterError as error:
+            raise SystemExit(f"--telemetry: {error}") from None
+        target = pathlib.Path(args.telemetry)
+        series_path = target.with_name(f"{target.stem}.series{target.suffix}")
+        registry = MetricsRegistry()
+        telemetry = use_default_metrics(registry)
+        collector = TelemetryCollector(
+            registry, interval=args.collect_interval or 1.0
+        )
+    else:
+        registry = None
+        collector = None
+        telemetry = nullcontext()
+
     store_dir = args.save_models or args.from_store
     if args.save_models and args.from_store and args.save_models != args.from_store:
         raise SystemExit("--save-models and --from-store must name the same directory")
@@ -187,27 +220,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"unknown estimator(s) {unknown}; available: {available_estimators()}"
             )
     extra = use_estimators(args.estimator) if args.estimator else nullcontext()
-
-    if (args.collect_interval or args.dashboard) and not args.telemetry:
-        raise SystemExit("--collect-interval and --dashboard require --telemetry")
-    if args.collect_interval is not None and args.collect_interval <= 0:
-        raise SystemExit("--collect-interval must be positive")
-
-    if args.telemetry:
-        from repro.core.fastpath import set_route_metrics
-        from repro.obs.collector import TelemetryCollector
-        from repro.obs.export import exporter_for_path
-        from repro.obs.metrics import MetricsRegistry, use_default_metrics
-
-        registry = MetricsRegistry()
-        telemetry = use_default_metrics(registry)
-        collector = TelemetryCollector(
-            registry, interval=args.collect_interval or 1.0
-        )
-    else:
-        registry = None
-        collector = None
-        telemetry = nullcontext()
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     with context, sharding, extra, telemetry:
@@ -238,16 +250,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             if registry is not None:
                 set_route_metrics(None)
     if registry is not None:
-        import pathlib
-
-        path = exporter_for_path(args.telemetry).export(registry.snapshot(), args.telemetry)
+        path = exporter.export(registry.snapshot(), args.telemetry)
         print(f"telemetry snapshot written to {path}")
         if args.collect_interval:
-            target = pathlib.Path(args.telemetry)
-            series_path = target.with_name(f"{target.stem}.series{target.suffix}")
-            exporter_for_path(series_path).export(
-                collector.series_payload(), series_path
-            )
+            exporter.export(collector.series_payload(), series_path)
             print(f"telemetry series written to {series_path}")
         if args.dashboard:
             from repro.obs.dashboard import write_dashboard

@@ -1,20 +1,18 @@
-"""Observability layer: metrics, latency histograms, pluggable exporters.
+"""Observability layer: metrics, latency histograms, exporters.
 
 ``obs`` is the repo's telemetry substrate.  It is dependency-free (stdlib
-only, besides the shared error types and the component-resolution helper)
-and sits below every instrumented layer:
+only, besides the shared error types) and sits below every instrumented
+layer:
 
 * :mod:`repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsRegistry`
   with counters, gauges (including zero-overhead snapshot-time callback
   gauges), streaming log-bucketed
   :class:`~repro.obs.metrics.LatencyHistogram` quantiles, timer context
-  managers/decorators, and the no-op :data:`~repro.obs.metrics.NULL_REGISTRY`
-  default that keeps uninstrumented hot paths at one-branch cost.
-* :mod:`repro.obs.export` — the exporter registry (``"json"`` /
-  ``"jsonl"`` plus the columnar ``"csv"`` below, registry-keyed) that
-  serialises registry snapshots and collector series losslessly.
-* :mod:`repro.obs.columnar` — the columnar ``"csv"`` exporter (stdlib, one
-  row per point, JSON-encoded cells, lossless).
+  managers, and the no-op :data:`~repro.obs.metrics.NULL_REGISTRY` default
+  that keeps uninstrumented hot paths at one-branch cost.
+* :mod:`repro.obs.export` — the ``.json``, ``.jsonl`` and ``.csv``
+  exporters, chosen by file suffix (:func:`~repro.obs.export.exporter_for_path`),
+  which serialise registry snapshots and collector series losslessly.
 * :mod:`repro.obs.collector` — :class:`~repro.obs.collector.TelemetryCollector`
   sampling a registry on an interval (or explicit ``tick()``), diffing
   consecutive snapshots into per-metric delta/rate series with
@@ -25,13 +23,19 @@ and sits below every instrumented layer:
   (inline SVG sparklines, per-tenant SLO grading) rendered from a live
   collector or any exported series file, zero third-party dependencies.
 
+Telemetry has one switch: ``with use_default_metrics(registry):``
+installs ``registry`` as the process default, and every instrumented layer
+reads it through :func:`~repro.obs.metrics.default_metrics` (see there for
+which layers read it per call and which bind it at construction).
 Instrumented layers: :class:`~repro.serve.EstimatorServer` (per-request
 latency, cache hits/misses, generation swaps, per-tenant labels),
+:class:`~repro.serve.admission.AdmissionController` (decision counters),
 :class:`~repro.persist.journal.JournaledIngest` (journal appends, rows and
-checkpoints), :meth:`~repro.persist.store.ModelStore.publish`,
-:class:`~repro.shard.parallel.ShardExecutor` per-shard task timings, and the
-query fast path's culled-vs-dense routing counters
-(:func:`repro.core.fastpath.set_route_metrics`).
+checkpoints), :class:`~repro.persist.store.ModelStore` (publishes,
+rollbacks, quarantines), :class:`~repro.shard.parallel.ShardExecutor`
+per-shard task timings, and the query fast path's culled-vs-dense routing
+counters, which take their registry from
+:func:`repro.core.fastpath.set_route_metrics` instead.
 """
 
 from repro.obs.collector import (
@@ -42,19 +46,13 @@ from repro.obs.collector import (
     series_payload,
     store_from_payload,
 )
-from repro.obs.columnar import CSVExporter
 from repro.obs.dashboard import load_series, render_dashboard, write_dashboard
 from repro.obs.export import (
+    CSVExporter,
     JSONExporter,
     JSONLExporter,
     MetricsExporter,
-    available_exporters,
-    create_exporter,
     exporter_for_path,
-    exporter_from_config,
-    exporter_suffixes,
-    register_exporter,
-    resolve_exporter,
 )
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -66,7 +64,6 @@ from repro.obs.metrics import (
     default_metrics,
     hit_rate,
     metric_key,
-    set_default_metrics,
     use_default_metrics,
 )
 
@@ -78,7 +75,6 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "default_metrics",
-    "set_default_metrics",
     "use_default_metrics",
     "hit_rate",
     "metric_key",
@@ -86,13 +82,7 @@ __all__ = [
     "JSONExporter",
     "JSONLExporter",
     "CSVExporter",
-    "register_exporter",
-    "create_exporter",
-    "exporter_from_config",
-    "available_exporters",
-    "resolve_exporter",
     "exporter_for_path",
-    "exporter_suffixes",
     "SeriesPoint",
     "TimeSeriesStore",
     "TelemetryCollector",

@@ -251,10 +251,7 @@ class TimeSeriesStore:
             total = sum(p.total or 0.0 for p in points)
             count = delta
             mean = total / count if count else None
-            merged: dict[int, int] = {}
-            for point in points:
-                for index, bucket in (point.buckets or {}).items():
-                    merged[int(index)] = merged.get(int(index), 0) + int(bucket)
+            merged = _merged_buckets(points)
             if merged:
                 p50, p95, p99 = (
                     LatencyHistogram.quantile_from_counts(merged, q)
@@ -263,12 +260,7 @@ class TimeSeriesStore:
         elif kind == "gauge":
             values = sorted(p.value for p in points)
             mean = sum(values) / len(values)
-
-            def _q(q: float) -> float:
-                rank = max(int(math.ceil(q * len(values))), 1)
-                return values[rank - 1]
-
-            p50, p95, p99 = (_q(q) for q in _QUANTILES)
+            p50, p95, p99 = (_sorted_quantile(values, q) for q in _QUANTILES)
         return WindowRollup(
             key=key,
             window=window if window is not None else span,
@@ -294,23 +286,36 @@ class TimeSeriesStore:
         The admission controller's readout: for histogram series this merges
         the retained interval bucket deltas and walks the shared
         log-bucketed quantile, so a trailing p99 is exact to within one
-        geometric bucket of the true windowed sample quantile.
+        geometric bucket of the true windowed sample quantile.  ``q``
+        outside ``[0, 1]`` raises :class:`InvalidParameterError` whatever the
+        series kind, and also for an unknown or empty series.
         """
+        if not 0.0 <= q <= 1.0:
+            raise InvalidParameterError("quantile must lie in [0, 1]")
         points = self._window_points(key, window)
         if not points:
             return None
-        kind = points[-1].kind
-        if kind == "histogram":
-            merged: dict[int, int] = {}
-            for point in points:
-                for index, bucket in (point.buckets or {}).items():
-                    merged[int(index)] = merged.get(int(index), 0) + int(bucket)
+        if points[-1].kind == "histogram":
+            merged = _merged_buckets(points)
             if not merged:
                 return None
             return LatencyHistogram.quantile_from_counts(merged, q)
-        values = sorted(p.value for p in points)
-        rank = max(int(math.ceil(q * len(values))), 1)
-        return values[rank - 1]
+        return _sorted_quantile(sorted(p.value for p in points), q)
+
+
+def _merged_buckets(points: list[SeriesPoint]) -> dict[int, int]:
+    """Sum the interval bucket deltas of histogram points (sparse)."""
+    merged: dict[int, int] = {}
+    for point in points:
+        for index, bucket in (point.buckets or {}).items():
+            merged[int(index)] = merged.get(int(index), 0) + int(bucket)
+    return merged
+
+
+def _sorted_quantile(values: list[float], q: float) -> float:
+    """``inverted_cdf`` quantile of sorted, non-empty gauge values."""
+    rank = max(int(math.ceil(q * len(values))), 1)
+    return values[rank - 1]
 
 
 def series_payload(

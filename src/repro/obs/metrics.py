@@ -48,7 +48,6 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "default_metrics",
-    "set_default_metrics",
     "use_default_metrics",
     "hit_rate",
     "metric_key",
@@ -328,10 +327,9 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create (same name and
     labels → same object), ``timer`` wraps a histogram in a context manager,
-    ``timed`` is the decorator form, ``gauge_fn`` registers a callback
-    evaluated at snapshot time, and :meth:`snapshot` renders everything as
-    one JSON-native dict that the :mod:`repro.obs.export` exporters
-    round-trip losslessly.
+    ``gauge_fn`` registers a callback evaluated at snapshot time, and
+    :meth:`snapshot` renders everything as one JSON-native dict that the
+    :mod:`repro.obs.export` exporters round-trip losslessly.
     """
 
     enabled = True
@@ -383,24 +381,6 @@ class MetricsRegistry:
     def timer(self, name: str, **labels: object) -> _Timer:
         """``with registry.timer("persist.publish_seconds"): ...``"""
         return _Timer(self.histogram(name, **labels))
-
-    def timed(self, name: str, **labels: object) -> Callable:
-        """Decorator form of :meth:`timer` for whole-function hot paths."""
-        histogram = self.histogram(name, **labels)
-
-        def decorate(fn: Callable) -> Callable:
-            def wrapper(*args: object, **kwargs: object):
-                start = perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    histogram.record(perf_counter() - start)
-
-            wrapper.__name__ = getattr(fn, "__name__", "wrapped")
-            wrapper.__doc__ = fn.__doc__
-            return wrapper
-
-        return decorate
 
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels: object) -> None:
         """Register a callback gauge evaluated lazily at snapshot time.
@@ -541,9 +521,6 @@ class NullRegistry:
     def timer(self, name: str, **labels: object) -> _NullTimer:
         return _NULL_TIMER
 
-    def timed(self, name: str, **labels: object) -> Callable:
-        return lambda fn: fn
-
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels: object) -> None:
         pass
 
@@ -571,7 +548,7 @@ def _null_registry() -> NullRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Process-default registry (the CLI's --telemetry hook)
+# Process-default registry: the one telemetry switch
 # ---------------------------------------------------------------------------
 
 _default: "MetricsRegistry | None" = None
@@ -579,26 +556,31 @@ _default_lock = threading.Lock()
 
 
 def default_metrics() -> "MetricsRegistry | NullRegistry":
-    """The process-default registry (:data:`NULL_REGISTRY` until one is set).
+    """The process-default registry (:data:`NULL_REGISTRY` outside any scope).
 
-    Instrumented constructors resolve ``metrics=None`` through this, so one
-    :func:`set_default_metrics` / :func:`use_default_metrics` call
-    instruments every layer built afterwards without threading a registry
-    through each signature.
+    This is the only way telemetry reaches an instrumented layer:
+    :func:`use_default_metrics` installs a registry for a scope, and the
+    layers read it here.  Layers off the request hot path
+    (:class:`~repro.persist.store.ModelStore`,
+    :class:`~repro.shard.parallel.ShardExecutor`, the ingest journal, the
+    sharded estimator) call this when they record, so an object built
+    before the scope still records inside it.
+    :class:`~repro.serve.server.EstimatorServer` and
+    :class:`~repro.serve.admission.AdmissionController` bind it once at
+    construction: they register snapshot-time ``gauge_fn`` callbacks on it
+    and sit on the microsecond request path, where telemetry must stay one
+    branch.  Build those inside the scope they should report to.
     """
     return _default if _default is not None else NULL_REGISTRY
 
 
-def set_default_metrics(registry: "MetricsRegistry | None") -> None:
-    """Install (or with ``None``, clear) the process-default registry."""
-    global _default
-    with _default_lock:
-        _default = registry
-
-
 @contextmanager
 def use_default_metrics(registry: "MetricsRegistry | None") -> Iterator[None]:
-    """Scoped :func:`set_default_metrics` (restores the previous default)."""
+    """Install ``registry`` as the process default for the ``with`` block.
+
+    ``None`` switches telemetry off for the block.  The previous default is
+    restored on exit, also when the block raises.
+    """
     global _default
     with _default_lock:
         previous = _default

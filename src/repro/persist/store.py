@@ -70,6 +70,16 @@ class ModelVersion:
 class ModelStore:
     """Directory-backed store of named, versioned estimator snapshots.
 
+    Telemetry goes to the process-default registry
+    (:func:`~repro.obs.metrics.default_metrics`), read when an event is
+    recorded: every :meth:`publish` records its end-to-end latency
+    (``persist.publish_seconds``, the write-temp + claim + pointer-flip
+    span) and bumps ``persist.publishes``.  Recovery events bump
+    ``persist.publish_retries`` (a publish temp file failed read-back
+    verification and was rewritten), ``persist.quarantined`` (a corrupt
+    snapshot was renamed aside) and ``persist.rollbacks`` (a latest-load
+    fell back to an older intact version).
+
     Parameters
     ----------
     root:
@@ -77,16 +87,6 @@ class ModelStore:
     keep_versions:
         Default prune policy applied after every publish: retain at most this
         many newest versions per model.  ``None`` keeps everything.
-    metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`.  When enabled,
-        every :meth:`publish` records its end-to-end latency
-        (``persist.publish_seconds``, the write-temp + claim + pointer-flip
-        span) and bumps ``persist.publishes``.  Recovery events bump
-        ``persist.publish_retries`` (a publish temp file failed read-back
-        verification and was rewritten), ``persist.quarantined`` (a corrupt
-        snapshot was renamed aside) and ``persist.rollbacks`` (a latest-load
-        fell back to an older intact version).  Defaults to the
-        process-default registry (no-op unless installed).
     verify_publish:
         Read back and checksum-verify every publish's temp file before it is
         claimed into a version slot, rewriting on mismatch (up to 4
@@ -101,14 +101,12 @@ class ModelStore:
         self,
         root: str | os.PathLike[str],
         keep_versions: int | None = None,
-        metrics=None,
         verify_publish: bool = True,
     ):
         if keep_versions is not None and keep_versions < 1:
             raise PersistenceError("keep_versions must be at least 1")
         self.root = Path(root)
         self.keep_versions = keep_versions
-        self.metrics = metrics if metrics is not None else default_metrics()
         self.verify_publish = verify_publish
         self._lock = threading.Lock()
         self.root.mkdir(parents=True, exist_ok=True)
@@ -231,7 +229,8 @@ class ModelStore:
         :class:`~repro.core.errors.SnapshotCorruptError` rather than ever
         claiming a corrupt file.
         """
-        publish_start = perf_counter() if self.metrics.enabled else 0.0
+        metrics = default_metrics()
+        publish_start = perf_counter() if metrics.enabled else 0.0
         model_dir = self._model_dir(name)
         model_dir.mkdir(parents=True, exist_ok=True)
         with self._lock:
@@ -253,7 +252,7 @@ class ModelStore:
                         break
                     except SnapshotCorruptError:
                         temp_path.unlink(missing_ok=True)
-                        self.metrics.counter("persist.publish_retries").inc()
+                        metrics.counter("persist.publish_retries").inc()
                         logger.warning(
                             "publish of model %r v%d failed read-back "
                             "verification (attempt %d/%d)",
@@ -288,11 +287,11 @@ class ModelStore:
             keep = keep_versions if keep_versions is not None else self.keep_versions
             if keep is not None:
                 self._prune_locked(name, keep)
-        if self.metrics.enabled:
-            self.metrics.histogram("persist.publish_seconds").record(
+        if metrics.enabled:
+            metrics.histogram("persist.publish_seconds").record(
                 perf_counter() - publish_start
             )
-            self.metrics.counter("persist.publishes").inc()
+            metrics.counter("persist.publishes").inc()
         return ModelVersion(name, version, final_path)
 
     @staticmethod
@@ -378,7 +377,7 @@ class ModelStore:
                 rolled_back = True
                 continue
             if rolled_back:
-                self.metrics.counter("persist.rollbacks").inc()
+                default_metrics().counter("persist.rollbacks").inc()
                 logger.warning(
                     "model %r rolled back to intact version %d", name, resolved.version
                 )
@@ -403,7 +402,7 @@ class ModelStore:
             # quarantine); resolution order still skips the version once the
             # caller records the failure, and re-reading it just fails again.
             pass
-        self.metrics.counter("persist.quarantined").inc()
+        default_metrics().counter("persist.quarantined").inc()
         logger.warning(
             "quarantined corrupt snapshot %s (model %r version %d)",
             corrupt_path,

@@ -115,6 +115,10 @@ class _Bucket:
 class AdmissionController:
     """Allow/deny serving-tier requests per tenant (see module docstring).
 
+    Decision counters and the write-allowance gauge go to the
+    process-default registry (:func:`~repro.obs.metrics.default_metrics`),
+    bound once at construction: :meth:`admit` sits on the request path.
+
     Parameters
     ----------
     quotas:
@@ -142,9 +146,6 @@ class AdmissionController:
         tails earn the allowance back — avoids the reactive-control window
         where a fresh storm runs unthrottled until the first breach is
         observed.
-    metrics:
-        Optional registry for decision counters; defaults to the
-        process-default registry (no-op unless installed).
     """
 
     def __init__(
@@ -157,7 +158,6 @@ class AdmissionController:
         recovery: float = 1.5,
         quantum: int = 1,
         initial_allowance: float = 1.0,
-        metrics=None,
     ) -> None:
         if isinstance(quotas, Mapping):
             quotas = quotas.values()
@@ -189,7 +189,7 @@ class AdmissionController:
         self._draining: set[str] = set()
         self._allowance = max(self.floor, float(initial_allowance))
         self._store: "TimeSeriesStore | None" = None
-        self.metrics = metrics if metrics is not None else default_metrics()
+        self.metrics = default_metrics()
         self._instrumented = self.metrics.enabled
         self._decision_counters: dict[tuple, object] = {}
         if self._instrumented:

@@ -89,6 +89,15 @@ class ServerCacheInfo:
 class EstimatorServer:
     """Serve ``estimate_batch`` traffic over swappable model versions.
 
+    Telemetry goes to the process-default registry
+    (:func:`~repro.obs.metrics.default_metrics`), bound once at
+    construction so the request path pays a single branch when it is off.
+    When enabled, the server records per-request latency
+    (``serve.request_seconds``, plus a per-tenant series when callers pass
+    ``tenant=``), per-tenant hit/miss request counters, publish latency
+    (``serve.publish_seconds``), and exports its cache/generation counters
+    as snapshot-time callback gauges.
+
     Parameters
     ----------
     estimator:
@@ -103,15 +112,6 @@ class EstimatorServer:
         ``model_name``.
     model_name:
         Store name used with ``store`` (required when ``store`` is given).
-    metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`.  When enabled,
-        the server records per-request latency (``serve.request_seconds``,
-        plus a per-tenant series when callers pass ``tenant=``), per-tenant
-        hit/miss request counters, publish latency
-        (``serve.publish_seconds``), and exports its cache/generation
-        counters as snapshot-time callback gauges — so the uninstrumented
-        request path pays a single branch.  Defaults to the process-default
-        registry (no-op unless installed).
     admission:
         Optional :class:`~repro.serve.admission.AdmissionController`.  When
         given, every ``estimate_batch`` request is submitted to it first and
@@ -139,7 +139,6 @@ class EstimatorServer:
         cache_size: int = 256,
         store: "ModelStore | None" = None,
         model_name: str | None = None,
-        metrics=None,
         admission=None,
         breaker: "CircuitBreaker | None" = None,
         fallback: SelectivityEstimator | None = None,
@@ -190,7 +189,7 @@ class EstimatorServer:
         self._generation_swaps = 0
         self._cache_invalidations = 0
         self.admission = admission
-        self.metrics = metrics if metrics is not None else default_metrics()
+        self.metrics = default_metrics()
         self._instrumented = self.metrics.enabled
         if self._instrumented:
             self._request_seconds = self.metrics.histogram("serve.request_seconds")

@@ -73,6 +73,14 @@ def _cpu_count() -> int:
 class ShardExecutor:
     """Maps a function over per-shard tasks, in parallel where possible.
 
+    Telemetry goes to the process-default registry
+    (:func:`~repro.obs.metrics.default_metrics`), read when an event is
+    recorded: every :meth:`map` records its wall-clock span
+    (``shard.map_seconds``) and — on the serial/thread backends, where the
+    wrapper needs no pickling — each task's span (``shard.task_seconds``),
+    labelled with the caller-supplied ``op``.  Transient retries bump
+    ``shard.task_retries``; a broken pool bumps ``shard.pool_broken``.
+
     Parameters
     ----------
     backend:
@@ -89,22 +97,12 @@ class ShardExecutor:
     retry_backoff:
         First-retry sleep in seconds; attempt ``k`` sleeps
         ``retry_backoff * 2**(k-1)``.
-    metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`.  When enabled,
-        every :meth:`map` records its wall-clock span
-        (``shard.map_seconds``) and — on the serial/thread backends, where
-        the wrapper needs no pickling — each task's span
-        (``shard.task_seconds``), labelled with the caller-supplied ``op``.
-        Transient retries bump ``shard.task_retries``; a broken pool bumps
-        ``shard.pool_broken``.  Defaults to the process-default registry
-        (no-op unless installed).
     """
 
     def __init__(
         self,
         backend: str | None = "thread",
         max_workers: int | None = None,
-        metrics=None,
         retries: int = 2,
         retry_backoff: float = 0.01,
     ) -> None:
@@ -123,7 +121,6 @@ class ShardExecutor:
         self.max_workers = max_workers
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.metrics = metrics if metrics is not None else default_metrics()
         self._pool_broken = False
 
     def _pool(self, tasks: int) -> Executor | None:
@@ -150,7 +147,7 @@ class ShardExecutor:
                 if attempt >= self.retries:
                     raise
                 attempt += 1
-                self.metrics.counter("shard.task_retries").inc()
+                default_metrics().counter("shard.task_retries").inc()
                 if self.retry_backoff:
                     time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
@@ -167,14 +164,15 @@ class ShardExecutor:
         tasks: Sequence[tuple] = list(zip(*iterables))
         if not tasks:
             return []
-        instrumented = self.metrics.enabled
+        metrics = default_metrics()
+        instrumented = metrics.enabled
         if instrumented:
             map_start = perf_counter()
             if self.backend != "process" or self._pool_broken:
                 # Per-task spans need a closure over the histogram, which a
                 # process pool cannot pickle; process-backend runs are
                 # covered by the whole-map span below.
-                task_seconds = self.metrics.histogram(
+                task_seconds = metrics.histogram(
                     "shard.task_seconds", **({"op": op} if op else {})
                 )
                 inner = fn
@@ -210,7 +208,7 @@ class ShardExecutor:
                 # will break again, so later maps skip straight to serial.
                 if not self._pool_broken:
                     self._pool_broken = True
-                    self.metrics.counter("shard.pool_broken").inc()
+                    metrics.counter("shard.pool_broken").inc()
                     logger.warning(
                         "%s pool broke during %r map; executor degraded to "
                         "serial execution",
@@ -220,7 +218,7 @@ class ShardExecutor:
                 return [self._run_task(fn, args) for args in tasks]
         finally:
             if instrumented:
-                self.metrics.histogram(
+                metrics.histogram(
                     "shard.map_seconds", **({"op": op} if op else {})
                 ).record(perf_counter() - map_start)
 

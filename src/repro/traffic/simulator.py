@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import AdmissionRejected, InvalidParameterError
-from repro.obs.export import exporter_for_path, resolve_exporter
+from repro.obs.export import exporter_for_path
 from repro.obs.metrics import MetricsRegistry
 from repro.traffic.tenants import DEFAULT_TENANTS, TenantProfile
 from repro.workload.generators import TypedWorkload, UniformWorkload
@@ -72,20 +72,17 @@ class TrafficReport:
             "admission": self.admission,
         }
 
-    def export(self, path, exporter=None, metrics: MetricsRegistry | None = None):
-        """Write the report (plus a registry snapshot) through an exporter.
+    def export(self, path, metrics: MetricsRegistry | None = None):
+        """Write the report (plus a ``metrics`` snapshot) to ``path``.
 
-        ``exporter`` follows the shared component-resolution convention
-        (name, config mapping, or instance); when omitted it is inferred
-        from the path suffix.  Returns the written path.
+        The format follows the path suffix (see
+        :func:`~repro.obs.export.exporter_for_path`).  Returns the written
+        path.
         """
-        exporter = (
-            exporter_for_path(path) if exporter is None else resolve_exporter(exporter)
-        )
         payload = self.to_payload()
         if metrics is not None:
             payload.update(metrics.snapshot())
-        return exporter.export(payload, path)
+        return exporter_for_path(path).export(payload, path)
 
 
 class _TenantState:
@@ -172,6 +169,11 @@ class _TenantState:
 class TrafficSimulator:
     """Replay deterministic multi-tenant traffic against a live server.
 
+    ``traffic.op_seconds{tenant=,op=}`` latency series and
+    ``traffic.ops{tenant=,op=}`` counters go to :attr:`metrics`: the
+    server's registry when that is enabled, else a fresh
+    :class:`~repro.obs.metrics.MetricsRegistry`.
+
     Parameters
     ----------
     server:
@@ -184,12 +186,6 @@ class TrafficSimulator:
         Names must be unique.
     seed:
         Master seed; with identical profiles it fixes the entire schedule.
-    metrics:
-        Registry receiving ``traffic.op_seconds{tenant=,op=}`` latency
-        series and ``traffic.ops{tenant=,op=}`` counters.  Defaults to the
-        server's registry when that is enabled, else a fresh
-        :class:`~repro.obs.metrics.MetricsRegistry` — the simulator always
-        measures, even over an uninstrumented server.
     collector:
         Optional :class:`~repro.obs.collector.TelemetryCollector`.  When
         given, :meth:`run` drives it on **virtual time**: one ``tick`` per
@@ -205,7 +201,6 @@ class TrafficSimulator:
         table,
         tenants: Sequence[TenantProfile] = DEFAULT_TENANTS,
         seed: int = 0,
-        metrics: MetricsRegistry | None = None,
         collector=None,
     ) -> None:
         if not tenants:
@@ -218,12 +213,8 @@ class TrafficSimulator:
         self.tenants = tuple(tenants)
         self.seed = int(seed)
         self.collector = collector
-        if metrics is not None:
-            self.metrics = metrics
-        elif getattr(server, "metrics", None) is not None and server.metrics.enabled:
-            self.metrics = server.metrics
-        else:
-            self.metrics = MetricsRegistry()
+        # The simulator always measures, even over an uninstrumented server.
+        self.metrics = server.metrics if server.metrics.enabled else MetricsRegistry()
         self._states = {
             profile.name: _TenantState(profile, self.seed, index, server, table)
             for index, profile in enumerate(self.tenants)

@@ -139,6 +139,13 @@ class TestStoreAndRollups:
         assert roll.rate == pytest.approx(60.0 / 3.0)
 
     def test_gauge_rollup_quantiles_over_values(self) -> None:
+        store = self.gauge_and_histogram_store()
+        roll = store.rollup("g", window=None)
+        assert roll.mean == pytest.approx(3.0)
+        assert roll.p50 == 3.0
+        assert roll.p99 == 5.0
+
+    def gauge_and_histogram_store(self) -> TimeSeriesStore:
         store = TimeSeriesStore()
         for i, value in enumerate([5.0, 1.0, 3.0]):
             store.append(
@@ -147,10 +154,35 @@ class TestStoreAndRollups:
                     value=value, delta=0.0, rate=0.0,
                 )
             )
+            store.append(
+                SeriesPoint(
+                    time=float(i), metric="h", labels=(), kind="histogram",
+                    value=float(i + 1), delta=1.0, rate=1.0, total=1e-3,
+                    buckets={"80": 1},
+                )
+            )
+            store.append(
+                SeriesPoint(
+                    time=float(i), metric="quiet", labels=(), kind="histogram",
+                    value=0.0, delta=0.0, rate=0.0, total=0.0, buckets={},
+                )
+            )
+        return store
+
+    def test_gauge_window_quantile_matches_rollup(self) -> None:
+        store = self.gauge_and_histogram_store()
         roll = store.rollup("g", window=None)
-        assert roll.mean == pytest.approx(3.0)
-        assert roll.p50 == 3.0
-        assert roll.p99 == 5.0
+        assert store.window_quantile("g", 0.5) == roll.p50 == 3.0
+        assert store.window_quantile("g", 0.99) == roll.p99 == 5.0
+        assert store.window_quantile("g", 0.0) == 1.0
+        assert store.window_quantile("g", 1.0) == 5.0
+
+    @pytest.mark.parametrize("key", ["g", "h", "quiet", "missing"])
+    @pytest.mark.parametrize("q", [-0.1, 1.5])
+    def test_window_quantile_rejects_q_outside_unit_interval(self, key, q) -> None:
+        store = self.gauge_and_histogram_store()
+        with pytest.raises(InvalidParameterError, match="quantile"):
+            store.window_quantile(key, q)
 
     def test_window_restricts_points(self) -> None:
         store = self.fill([10.0, 20.0, 30.0])

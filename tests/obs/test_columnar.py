@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from repro.obs.collector import TelemetryCollector, store_from_payload
-from repro.obs.columnar import CSVExporter
-from repro.obs.export import available_exporters, create_exporter, exporter_for_path
+from repro.obs.export import CSVExporter
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -34,18 +33,14 @@ def snapshot_payload() -> dict:
 
 
 class TestCSV:
-    def test_registered(self) -> None:
-        assert "csv" in available_exporters()
-        assert isinstance(exporter_for_path("series.csv"), CSVExporter)
-
     def test_series_round_trip_lossless(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = collected_payload()
         path = exporter.export(payload, tmp_path / "series.csv")
         assert exporter.load(path) == payload
 
     def test_snapshot_round_trip_lossless(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = snapshot_payload()
         path = exporter.export(payload, tmp_path / "snap.csv")
         assert exporter.load(path) == payload
@@ -56,7 +51,7 @@ class TestCSV:
         assert exporter.loads(exporter.dumps(payload)) == payload
 
     def test_store_rebuilds_from_csv(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = collected_payload()
         path = exporter.export(payload, tmp_path / "series.csv")
         store = store_from_payload(exporter.load(path))
@@ -66,7 +61,7 @@ class TestCSV:
         )
 
     def test_one_row_per_point(self, tmp_path) -> None:
-        exporter = create_exporter("csv")
+        exporter = CSVExporter()
         payload = collected_payload()
         text = exporter.dumps(payload)
         lines = [line for line in text.splitlines() if line.strip()]

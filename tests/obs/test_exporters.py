@@ -1,4 +1,4 @@
-"""Exporter registry resolution + lossless round-trips (JSON and JSONL)."""
+"""Suffix-based exporter selection + lossless round-trips (JSON and JSONL)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,10 @@ import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.obs.export import (
+    CSVExporter,
     JSONExporter,
     JSONLExporter,
-    available_exporters,
-    create_exporter,
     exporter_for_path,
-    exporter_from_config,
-    resolve_exporter,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -30,45 +27,16 @@ def sample_payload() -> dict:
     return payload
 
 
-class TestResolution:
-    def test_both_formats_registered(self) -> None:
-        assert {"json", "jsonl"} <= set(available_exporters())
+class TestSuffixSelection:
+    @pytest.mark.parametrize(
+        "suffix, exporter_type",
+        [(".json", JSONExporter), (".jsonl", JSONLExporter), (".csv", CSVExporter),
+         (".JSONL", JSONLExporter)],
+    )
+    def test_exporter_for_path_by_suffix(self, tmp_path, suffix, exporter_type) -> None:
+        assert type(exporter_for_path(tmp_path / f"m{suffix}")) is exporter_type
 
-    def test_resolve_by_name(self) -> None:
-        assert isinstance(resolve_exporter("jsonl"), JSONLExporter)
-
-    def test_resolve_instance_passthrough(self) -> None:
-        exporter = JSONExporter(indent=0)
-        assert resolve_exporter(exporter) is exporter
-
-    def test_resolve_config_mapping(self) -> None:
-        exporter = resolve_exporter({"name": "json", "indent": 4})
-        assert isinstance(exporter, JSONExporter)
-        assert exporter.indent == 4
-
-    def test_config_round_trip(self) -> None:
-        exporter = JSONExporter(indent=4)
-        clone = resolve_exporter(exporter.config())
-        assert isinstance(clone, JSONExporter) and clone.indent == 4
-
-    @pytest.mark.parametrize("name", ["yaml", "parquet"])
-    def test_unknown_name_rejected(self, name) -> None:
-        with pytest.raises(InvalidParameterError, match="unknown exporter"):
-            create_exporter(name)
-
-    def test_config_requires_name(self) -> None:
-        with pytest.raises(InvalidParameterError, match="name"):
-            exporter_from_config({"indent": 2})
-
-    def test_bad_spec_type_rejected(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            resolve_exporter(3.14)
-
-    def test_exporter_for_path_by_suffix(self, tmp_path) -> None:
-        assert isinstance(exporter_for_path(tmp_path / "m.jsonl"), JSONLExporter)
-        assert isinstance(exporter_for_path(tmp_path / "m.json"), JSONExporter)
-
-    @pytest.mark.parametrize("suffix", [".txt", ".parquet"])
+    @pytest.mark.parametrize("suffix", [".txt", ".parquet", ""])
     def test_exporter_for_path_unknown_suffix_lists_formats(
         self, tmp_path, suffix
     ) -> None:
@@ -76,20 +44,22 @@ class TestResolution:
             exporter_for_path(tmp_path / f"m{suffix}")
         message = str(err.value)
         assert f"'{suffix}'" in message
-        assert "json (.json)" in message and "csv (.csv)" in message
+        for known in (".json ", ".jsonl ", ".csv "):
+            assert known in message
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["json", "jsonl"])
     def test_lossless_round_trip(self, name, tmp_path) -> None:
-        exporter = create_exporter(name)
+        path = tmp_path / f"metrics.{name}"
+        exporter = exporter_for_path(path)
         payload = sample_payload()
-        path = exporter.export(payload, tmp_path / f"metrics{exporter.suffix}")
+        path = exporter.export(payload, path)
         assert exporter.load(path) == payload
 
     @pytest.mark.parametrize("name", ["json", "jsonl"])
     def test_dumps_loads_inverse(self, name) -> None:
-        exporter = create_exporter(name)
+        exporter = exporter_for_path(f"metrics.{name}")
         payload = sample_payload()
         assert exporter.loads(exporter.dumps(payload)) == payload
 

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     default_metrics,
     hit_rate,
     metric_key,
-    set_default_metrics,
     use_default_metrics,
 )
 
@@ -114,16 +113,6 @@ class TestTimer:
             pass
         assert registry.histogram("op_seconds").count == 1
 
-    def test_timed_decorator(self) -> None:
-        registry = MetricsRegistry()
-
-        @registry.timed("fn_seconds")
-        def work() -> int:
-            return 7
-
-        assert work() == 7
-        assert registry.histogram("fn_seconds").count == 1
-
 
 class TestRegistryIsASink:
     def test_deepcopy_returns_same_registry(self) -> None:
@@ -158,13 +147,20 @@ class TestDefaultRegistry:
     def test_default_is_null_until_set(self) -> None:
         assert default_metrics() is NULL_REGISTRY
 
-    def test_set_and_clear(self) -> None:
-        registry = MetricsRegistry()
-        set_default_metrics(registry)
-        try:
-            assert default_metrics() is registry
-        finally:
-            set_default_metrics(None)
+    def test_nested_scopes_restore_outer(self) -> None:
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        with use_default_metrics(outer):
+            with use_default_metrics(inner):
+                assert default_metrics() is inner
+            with use_default_metrics(None):
+                assert default_metrics() is NULL_REGISTRY
+            assert default_metrics() is outer
+        assert default_metrics() is NULL_REGISTRY
+
+    def test_scope_restored_when_block_raises(self) -> None:
+        with pytest.raises(RuntimeError):
+            with use_default_metrics(MetricsRegistry()):
+                raise RuntimeError("boom")
         assert default_metrics() is NULL_REGISTRY
 
     def test_scoped_use(self) -> None:

@@ -136,6 +136,21 @@ class TestModelStore:
         assert header["row_count"] == small_table.row_count
 
 
+class TestTelemetry:
+    def test_store_built_outside_scope_records_inside_it(self, store, fitted) -> None:
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
+
+        store.publish("m", fitted)  # outside any scope: nothing recorded
+        registry = MetricsRegistry()
+        with use_default_metrics(registry):
+            store.publish("m", fitted)
+            store.publish("m", fitted)
+        store.publish("m", fitted)
+        assert registry.counter("persist.publishes").value == 2
+        assert registry.histogram("persist.publish_seconds").count == 2
+        assert store.versions("m") == [1, 2, 3, 4]
+
+
 class TestCatalogPersistence:
     @pytest.fixture()
     def catalog(self) -> Catalog:

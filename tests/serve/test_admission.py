@@ -9,7 +9,7 @@ from repro.core.errors import AdmissionRejected, InvalidParameterError
 from repro.core.streaming import StreamingADE
 from repro.engine.table import Table
 from repro.obs.collector import TelemetryCollector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_default_metrics
 from repro.serve import AdmissionController, EstimatorServer, TenantQuota
 from repro.workload.queries import RangeQuery
 
@@ -179,9 +179,8 @@ class TestShedding:
 
     def test_decisions_counted(self) -> None:
         registry = MetricsRegistry()
-        controller = AdmissionController(
-            [TenantQuota("t", rate=1.0, burst=1.0)], metrics=registry
-        )
+        with use_default_metrics(registry):
+            controller = AdmissionController([TenantQuota("t", rate=1.0, burst=1.0)])
         controller.admit("t", now=0.0)
         with pytest.raises(AdmissionRejected):
             controller.admit("t", now=0.0)

@@ -13,7 +13,7 @@ from repro.core.errors import (
 from repro.core.kde import KDESelectivityEstimator
 from repro.data.generators import gaussian_mixture_table
 from repro.fault.plan import FaultPlan, use_fault_plan
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_default_metrics
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.server import EstimatorServer
 from repro.workload.generators import UniformWorkload
@@ -117,13 +117,10 @@ class TestServerIntegration:
         breaker = CircuitBreaker(
             failure_threshold=2, reset_timeout=1.0, probe_successes=1
         )
-        server = EstimatorServer(
-            model,
-            cache_size=cache_size,
-            metrics=metrics,
-            breaker=breaker,
-            fallback=fallback,
-        )
+        with use_default_metrics(metrics):
+            server = EstimatorServer(
+                model, cache_size=cache_size, breaker=breaker, fallback=fallback
+            )
         return server, model, breaker, metrics
 
     def test_fallback_requires_breaker(self) -> None:

@@ -427,12 +427,11 @@ class TestServerTelemetry:
         assert stats["generation"] == 1 + stats["generation_swaps"]
 
     def test_instrumented_request_path_records(self, table, plan) -> None:
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
 
         metrics = MetricsRegistry()
-        server = EstimatorServer(
-            StreamingADE(max_kernels=32).fit(table), cache_size=8, metrics=metrics
-        )
+        with use_default_metrics(metrics):
+            server = EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8)
         server.estimate_batch(plan)                      # unlabelled miss
         server.estimate_batch(plan, tenant="a")          # labelled hit
         server.estimate_batch(plan, tenant="a")          # labelled hit
@@ -447,21 +446,30 @@ class TestServerTelemetry:
         assert gauges["serve.hit_rate"]["value"] == pytest.approx(2 / 3)
 
     def test_uninstrumented_by_default(self, table, plan) -> None:
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
+
         server = EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8)
         assert not server._instrumented
         # tenant labels are accepted and ignored without a registry
         server.estimate_batch(plan, tenant="a")
+        # the registry is bound at construction: a later scope does not reach
+        # the request path of a server built outside it
+        metrics = MetricsRegistry()
+        with use_default_metrics(metrics):
+            server.estimate_batch(plan, tenant="a")
+        assert metrics.snapshot()["histograms"] == {}
 
     def test_stats_never_torn_under_concurrent_publishes(self, table, plan) -> None:
         """generation == 1 + generation_swaps in *every* stats()/snapshot
         readout, even while whole-model publish() and per-shard
         publish_shard() race each other."""
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
         from repro.shard.sharded import ShardedEstimator
 
         metrics = MetricsRegistry()
         sharded = ShardedEstimator("equiwidth", shards=2).fit(table)
-        server = EstimatorServer(sharded, cache_size=8, metrics=metrics)
+        with use_default_metrics(metrics):
+            server = EstimatorServer(sharded, cache_size=8)
         stop = threading.Event()
         torn: list[str] = []
 
@@ -509,7 +517,7 @@ class TestServerTelemetry:
         """Deterministic form of the race above: two publishes land right
         after the snapshot read the first of the two generation gauges; the
         generation gauge must still not fall behind the swap counter."""
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
 
         watched = ("serve.generation", "serve.generation_swaps")
         servers: list[EstimatorServer] = []
@@ -530,9 +538,10 @@ class TestServerTelemetry:
                 super().gauge_fn(name, fn, **labels)
 
         metrics = InterleavingRegistry()
-        servers.append(
-            EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8, metrics=metrics)
-        )
+        with use_default_metrics(metrics):
+            servers.append(
+                EstimatorServer(StreamingADE(max_kernels=32).fit(table), cache_size=8)
+            )
         gauges = metrics.snapshot()["gauges"]
         assert interleaved, "no generation gauge was read"
         assert gauges["serve.generation"]["value"] >= gauges["serve.generation_swaps"]["value"]

@@ -47,6 +47,30 @@ class TestExecutorRetries:
             with pytest.raises(InjectedFault):
                 executor.map(lambda x: x, range(2))
 
+    def test_executor_records_into_the_scope_of_the_call(self) -> None:
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
+
+        executor = ShardExecutor("serial", retry_backoff=0.0)
+        plan = FaultPlan(seed=1)
+        plan.arm("shard.task", action="raise", at=(1,))
+        registry = MetricsRegistry()
+        with use_fault_plan(plan), use_default_metrics(registry):
+            executor.map(lambda x: x, range(3), op="probe")
+        executor.map(lambda x: x, range(3), op="probe")  # outside: not recorded
+        assert registry.counter("shard.task_retries").value == 1
+        assert registry.histogram("shard.map_seconds", op="probe").count == 1
+        assert registry.histogram("shard.task_seconds", op="probe").count == 3
+
+    def test_sharded_estimator_built_outside_scope_records_map_spans(self) -> None:
+        from repro.obs.metrics import MetricsRegistry, use_default_metrics
+
+        sharded = _sharded(shards=2)
+        plan = _plan(sharded, count=2100)  # large enough to go through the executor
+        registry = MetricsRegistry()
+        with use_default_metrics(registry):
+            sharded.estimate_batch(plan)
+        assert registry.histogram("shard.map_seconds", op="estimate").count == 1
+
     def test_retries_parameter_validated(self) -> None:
         from repro.core.errors import InvalidParameterError
 

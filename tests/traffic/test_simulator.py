@@ -9,7 +9,7 @@ import pytest
 from repro.core.errors import InvalidParameterError
 from repro.core.streaming import StreamingADE
 from repro.data.generators import gaussian_mixture_table, mixed_type_table
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_default_metrics
 from repro.serve.server import EstimatorServer
 from repro.traffic import DEFAULT_TENANTS, TenantProfile, TrafficSimulator
 
@@ -25,9 +25,8 @@ def base_model(table):
 
 
 def make_server(base_model, metrics=None):
-    return EstimatorServer(
-        copy.deepcopy(base_model), cache_size=16, metrics=metrics
-    )
+    with use_default_metrics(metrics):
+        return EstimatorServer(copy.deepcopy(base_model), cache_size=16)
 
 
 TENANTS = (
@@ -120,15 +119,13 @@ class TestRun:
         assert r1.checksum == pytest.approx(r2.checksum)
 
     def test_per_tenant_histograms_populated(self, base_model, table) -> None:
-        metrics = MetricsRegistry()
-        sim = TrafficSimulator(
-            make_server(base_model), table, TENANTS, seed=3, metrics=metrics
-        )
+        sim = TrafficSimulator(make_server(base_model), table, TENANTS, seed=3)
+        assert sim.metrics.enabled  # own registry over an uninstrumented server
         report = sim.run(0.4)
         reader = report.tenants["reader"]
         assert reader["ops"]["query"]["count"] > 0
         assert 0 < reader["p50"] <= reader["p99"]
-        hist = metrics.histogram("traffic.op_seconds", tenant="reader", op="query")
+        hist = sim.metrics.histogram("traffic.op_seconds", tenant="reader", op="query")
         assert hist.count == reader["ops"]["query"]["count"]
 
     def test_ingest_bumps_generation_and_rows(self, base_model, table) -> None:
@@ -160,14 +157,11 @@ class TestRun:
 
 
 class TestReportExport:
-    def test_round_trips_through_both_exporters(self, base_model, table, tmp_path) -> None:
-        metrics = MetricsRegistry()
-        sim = TrafficSimulator(
-            make_server(base_model), table, TENANTS, seed=3, metrics=metrics
-        )
+    def test_round_trips_through_every_exporter(self, base_model, table, tmp_path) -> None:
+        sim = TrafficSimulator(make_server(base_model), table, TENANTS, seed=3)
         report = sim.run(0.3)
-        for suffix in (".json", ".jsonl"):
-            path = report.export(tmp_path / f"run{suffix}", metrics=metrics)
+        for suffix in (".json", ".jsonl", ".csv"):
+            path = report.export(tmp_path / f"run{suffix}", metrics=sim.metrics)
             from repro.obs.export import exporter_for_path
 
             loaded = exporter_for_path(path).load(path)
@@ -184,17 +178,16 @@ class TestClosedLoop:
 
         metrics = MetricsRegistry()
         collector = TelemetryCollector(metrics, interval=0.1)
-        controller = AdmissionController(
-            [TenantQuota("reader", slo_p99=slo)],
-            window=0.5,
-            floor=floor,
-            initial_allowance=floor,
-            metrics=metrics,
-        ).bind(collector)
-        server = EstimatorServer(
-            copy.deepcopy(base_model), cache_size=16, metrics=metrics,
-            admission=controller,
-        )
+        with use_default_metrics(metrics):
+            controller = AdmissionController(
+                [TenantQuota("reader", slo_p99=slo)],
+                window=0.5,
+                floor=floor,
+                initial_allowance=floor,
+            ).bind(collector)
+            server = EstimatorServer(
+                copy.deepcopy(base_model), cache_size=16, admission=controller
+            )
         return server, collector, controller, metrics
 
     def test_collector_ticks_on_virtual_time(self, base_model, table) -> None:
