@@ -66,27 +66,38 @@ Epsilon / atol policy
 Culling an unbounded (Gaussian) kernel drops real mass, so the cull radius is
 derived from a deviation budget: with per-image tail tolerance
 ``ε = atol / 24`` the radius is ``-ndtri(ε)`` (≈ 7.5 at the default
-``atol = 1e-12``).  Every culled kernel image then contributes at most ``ε``
-axis mass, and because the per-kernel weights are normalised the *total*
-deviation of a fast-path estimate from the dense path is bounded by
-``3·ε ≤ atol/8`` (three kernel images per axis under boundary reflection —
-the reflected images of significant kernels provably fall inside the same
-candidate interval, see ``KernelSupportIndex.box_candidates``).  The culled
-pairs are exactly those the ε-radius test rejects, so the bound holds per
-pair; the safety factor 24 also absorbs the summation-order differences
-between the pair reduction and the dense path's dot product.  Estimates are
-culled *downward* only: the fast path never reports more mass than the
-dense path.
+``atol = 1e-12``).  Every dropped kernel image then contributes at most ``ε``
+axis mass, and mass is dropped in two ways:
+
+* a *culled pair* (the kernel's support misses the box on some axis) drops
+  its whole product, which is at most that axis's mass: ``≤ 3·ε`` for the
+  kernel and its two boundary reflections (a mirror image is never nearer
+  to a domain-clipped interval than its source kernel, see
+  ``KernelSupportIndex.box_candidates``);
+* a *kept pair* drops, on each reflecting axis, the mirror images at the
+  bounds its kernel is not near (``SupportCache.near_bounds``): at most
+  ``2·ε`` per axis, so ``≤ 2·d·ε`` over ``d`` axes, since axis masses lie
+  in ``[0, 1]``.
+
+Because the per-kernel weights are normalised, the deviation of a fast-path
+estimate from the dense reference is at most ``max(3, 2·d)·ε`` per box.  That
+stays within ``atol`` up to ``d = 12`` dimensions (``2·d ≤ 24``); below that
+the rest of the factor 24 absorbs the summation-order differences between
+the pair reduction and the dense path's dot product.  Estimates are culled
+*downward* only: the fast path never reports more mass than the dense path.
 
 Staleness contract
 ------------------
 
-Estimators keep their query-side geometry in one :class:`SupportCache`
-entry, stamped with a staleness counter (an epoch bumped by every synopsis
-mutation — fit, bulk/sequential insert, flush of a pending chunk, compress,
-prune, snapshot restore; see :class:`SupportCached`).  The entry is rebuilt
-lazily on the next estimate after the epoch moved, and its index only when a
-culled route first needs it; per-tuple index updates are never attempted.
+Estimators keep their query-side geometry — kernel centers, support radii,
+the lazily built index and, for reflecting synopses, the near-bound image
+masks — in one :class:`SupportCache` entry, stamped with a staleness counter
+(an epoch bumped by every synopsis mutation — fit, bulk/sequential insert,
+flush of a pending chunk, compress, prune, snapshot restore,
+``set_bandwidths``; see :class:`SupportCached`).  The entry is rebuilt
+lazily on the next estimate after the epoch moved, its index only when a
+culled route first needs it and its near-bound masks on the first reflected
+axis mass; per-tuple index updates are never attempted.
 The entry is swapped as one attribute, so concurrent readers (the serving
 layer calls ``estimate_batch`` from many threads) either see a consistent
 cached entry or rebuild it — an idempotent, benign race.  Deep-copying an
@@ -94,7 +105,8 @@ estimator (the serving layer's copy-on-write ``checkout``/``publish``)
 carries the cached entry along.
 
 The :func:`fastpath_disabled` context manager forces the dense reference
-path process-wide; the equivalence suite compares the fast path against it.
+path process-wide, with every mirror image of every kernel evaluated; the
+equivalence suite compares the fast path against it.
 """
 
 from __future__ import annotations
@@ -111,6 +123,7 @@ __all__ = [
     "SupportCache",
     "SupportCached",
     "cull_epsilon",
+    "culling_enabled",
     "estimate_boxes",
     "fastpath_disabled",
     "gaussian_cull_radius",
@@ -125,8 +138,9 @@ __all__ = [
 DEFAULT_ATOL = 1e-12
 
 #: Deviation-budget safety factor: three kernel images per axis (center plus
-#: two boundary reflections) times headroom for summation-order rounding
-#: differences between the pair reduction and the dense dot product.
+#: two boundary reflections), or two culled mirror images per reflecting axis,
+#: times headroom for summation-order rounding differences between the pair
+#: reduction and the dense dot product (see the module docstring).
 _EPSILON_SAFETY = 24.0
 
 #: Below this many kernels a dense pass beats any index overhead.
@@ -180,8 +194,9 @@ def fastpath_disabled():
     """Force every estimator onto the dense reference path within the block.
 
     The equivalence suite and the fast-path benchmark use this to reach the
-    dense path without rebuilding estimators: no support index is built and
-    no route is counted inside the block.
+    dense path without rebuilding estimators: no support index is built, no
+    route is counted and no reflected kernel image is culled inside the
+    block.
     """
     global _ENABLED
     previous = _ENABLED
@@ -190,6 +205,11 @@ def fastpath_disabled():
         yield
     finally:
         _ENABLED = previous
+
+
+def culling_enabled() -> bool:
+    """False inside a :func:`fastpath_disabled` block, true otherwise."""
+    return _ENABLED
 
 
 def cull_epsilon(atol: float = DEFAULT_ATOL) -> float:
@@ -353,10 +373,11 @@ class SupportCache:
     built from; ``scales`` holds per-kernel parameters the estimator's
     ``AxisMass`` callback reads (the streaming ADE's per-kernel stds), or
     ``None``.  The index itself is built by the first :meth:`index` call, so
-    only a culled route ever pays for one.
+    only a culled route ever pays for one; the near-bound masks of a
+    reflecting synopsis likewise by the first :meth:`near_bounds` call.
     """
 
-    __slots__ = ("epoch", "centers", "radii", "scales", "_index")
+    __slots__ = ("epoch", "centers", "radii", "scales", "_index", "_near_bounds")
 
     def __init__(
         self, epoch: int, centers: np.ndarray, radii: np.ndarray, scales: np.ndarray | None
@@ -366,6 +387,7 @@ class SupportCache:
         self.radii = radii
         self.scales = scales
         self._index: KernelSupportIndex | None = None
+        self._near_bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     def index(self) -> KernelSupportIndex:
         """The support index of this epoch's geometry (built on first use)."""
@@ -373,6 +395,28 @@ class SupportCache:
         if index is None:
             index = self._index = KernelSupportIndex(self.centers, self.radii)
         return index
+
+    def near_bounds(
+        self, low: np.ndarray, high: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(near_low, near_high)`` kernel masks, each ``(d, K)`` boolean.
+
+        Kernel ``i`` is *near* the low bound of axis ``d`` when its support
+        reaches it (``c_id - r_id ≤ low_d``), and near the high bound when
+        ``c_id + r_id ≥ high_d``.  Only a near kernel's mirror image at that
+        bound can put more than the cull epsilon back into the domain.  The
+        bounds (a reflecting synopsis's domain) are fixed for the epoch, so
+        the masks are built by the first call and reused until the next
+        mutation replaces the entry.
+        """
+        near = self._near_bounds
+        if near is None:
+            radii = np.broadcast_to(np.asarray(self.radii, dtype=float), self.centers.shape)
+            near = self._near_bounds = (
+                np.ascontiguousarray((self.centers - radii <= low).T),
+                np.ascontiguousarray((self.centers + radii >= high).T),
+            )
+        return near
 
 
 class SupportCached:

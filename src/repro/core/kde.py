@@ -242,6 +242,19 @@ class KDESelectivityEstimator(fastpath.SupportCached, SelectivityEstimator):
         ``(P,)`` bounds and gets one mass per (box, point) pair.  Centers are
         pre-divided by the bandwidth so each CDF argument costs a single
         broadcast pass — this is the hot loop of batch estimation.
+
+        On a reflecting axis a kernel's mirror image at a domain bound is
+        evaluated only if the kernel is *near* that bound, i.e. within its
+        own effective support radius of it (the near-low / near-high masks
+        of :meth:`fastpath.SupportCache.near_bounds`, per point for adaptive
+        bandwidths).  A far image puts at most the cull epsilon back into the
+        domain — exactly 0 for compact kernels.  The dense mode evaluates an
+        image on the near kernels' columns only, the pair mode on the pairs
+        whose kernel is near.  The masks live in the epoch-guarded support
+        cache entry, so every mutation that invalidates it rebuilds them, and
+        they depend only on the kernel, so a box's answer stays independent
+        of its plan.  Inside :func:`fastpath.fastpath_disabled` every image
+        of every kernel is evaluated: that is the exact reference.
         """
         centers = self._points[:, axis] if ids is None else self._points[ids, axis]
         inv_h = 1.0 / self._axis_bandwidths(axis, ids)
@@ -256,12 +269,22 @@ class KDESelectivityEstimator(fastpath.SupportCached, SelectivityEstimator):
         clipped_low = np.maximum(low, domain_low)
         clipped_high = np.minimum(high, domain_high)
         mass = self._scaled_axis_mass(scaled_centers, inv_h, clipped_low, clipped_high)
-        mass += self._scaled_axis_mass(
-            (2.0 * domain_low - centers) * inv_h, inv_h, clipped_low, clipped_high
-        )
-        mass += self._scaled_axis_mass(
-            (2.0 * domain_high - centers) * inv_h, inv_h, clipped_low, clipped_high
-        )
+        near = (slice(None), slice(None))  # every kernel: the exact reference
+        if fastpath.culling_enabled():
+            masks = self._support().near_bounds(self._domain_low, self._domain_high)
+            # Positions along the result's last axis: the near kernels'
+            # columns in dense mode, the pairs whose kernel is near in pair mode.
+            near = [np.flatnonzero(m[axis] if ids is None else m[axis][ids]) for m in masks]
+        for bound, positions in zip((domain_low, domain_high), near):
+            image_inv_h = inv_h[positions] if np.ndim(inv_h) else inv_h
+            # Dense-mode (n, 1) bounds broadcast over kernels; pair bounds are per pair.
+            if ids is None:
+                box_low, box_high = clipped_low, clipped_high
+            else:
+                box_low, box_high = clipped_low[positions], clipped_high[positions]
+            mass[..., positions] += self._scaled_axis_mass(
+                (2.0 * bound - centers[positions]) * image_inv_h, image_inv_h, box_low, box_high
+            )
         np.clip(mass, 0.0, 1.0, out=mass)
         empty = clipped_low > clipped_high
         if np.any(empty):
